@@ -142,11 +142,3 @@ func EstimateSaving(op profile.OpStat, cfg Config, hwCfg *hw.Config) sim.Time {
 	}
 	return sim.FromNs(net)
 }
-
-// AutoPush profiles nothing itself: it wires a recommendation into an
-// executor, returning the chosen operator names for reporting.
-func AutoPush(ex *profile.Exec, prof []profile.OpStat, cfg Config, hwCfg *hw.Config) []string {
-	names, _ := Recommend(prof, cfg, hwCfg)
-	ex.Push(names...)
-	return names
-}

@@ -171,7 +171,7 @@ func runChaos(t *testing.T, w chaosWorkload, profName string, seed int64) chaosR
 			res.StaleCaught += st.StaleReadsAverted
 			res.QuorumStall += st.QuorumStalls
 		}
-		res.ShardDown[s] = fault.TotalDowntime(m.Fault.ShardWindowsThrough(s, th.Now()), th.Now())
+		res.ShardDown[s] = fault.TotalDowntime(m.Fault.Through(fault.Shard(s), th.Now()), th.Now())
 	}
 	return res
 }

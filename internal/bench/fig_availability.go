@@ -84,9 +84,9 @@ func figAvailability(opts Options) *Table {
 				pt.resync += st.ResyncPages
 				pt.stalls += st.Stalls
 			}
-			all = append(all, m.Fault.ShardWindowsThrough(s, end)...)
+			all = append(all, m.Fault.Through(fault.Shard(s), end)...)
 		}
-		all = append(all, m.Fault.WindowsThrough(end)...)
+		all = append(all, m.Fault.Through(fault.Pool(), end)...)
 		pt.degraded = fault.UnionDowntime(all, end)
 		return pt
 	}

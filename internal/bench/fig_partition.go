@@ -79,7 +79,6 @@ func figPartition(opts Options) *Table {
 			elapsed: ex.Total(),
 			qlost:   rt.Stats().QuorumLostObserved,
 		}
-		var cuts []fault.Window
 		for s := 0; s < shards; s++ {
 			if m.ShardStats != nil {
 				st := m.ShardStats[s]
@@ -90,23 +89,7 @@ func figPartition(opts Options) *Table {
 				pt.qstalls += st.QuorumStalls
 			}
 		}
-		// The partitioned column folds every directed link the pool has —
-		// compute↔shard both ways and shard↔shard both ways — into one
-		// union, in a fixed endpoint order so the figure is deterministic.
-		ends := make([]int, 0, shards+1)
-		ends = append(ends, fault.EndpointCompute)
-		for s := 0; s < shards; s++ {
-			ends = append(ends, s)
-		}
-		for _, from := range ends {
-			for _, to := range ends {
-				if from == to {
-					continue
-				}
-				cuts = append(cuts, m.Fault.LinkWindowsThrough(from, to, end)...)
-			}
-		}
-		pt.cut = fault.UnionDowntime(cuts, end)
+		pt.cut = linkDowntime(m.Fault, shards, end)
 		return pt
 	}
 
@@ -146,4 +129,20 @@ func figPartition(opts Options) *Table {
 		"extension beyond the paper: answers are identical in every cell (partitions never change answers); version tags turn would-be stale reads into read-repairs",
 		"partitioned = fraction of virtual time at least one directed link was severed; slowdown vs the fault-free W=1 run")
 	return t
+}
+
+// linkDowntime is the length of the union of every directed link's outage
+// windows on a pool of shards through end — compute↔shard and shard↔shard,
+// both directions — the "partitioned" figure. Endpoints are visited in a
+// fixed order, so the schedule extension it forces is deterministic.
+func linkDowntime(p *fault.Plan, shards int, end sim.Time) sim.Time {
+	var ws []fault.Window
+	for from := fault.EndpointCompute; from < shards; from++ {
+		for to := fault.EndpointCompute; to < shards; to++ {
+			if from != to {
+				ws = append(ws, p.Through(fault.Link(from, to), end)...)
+			}
+		}
+	}
+	return fault.UnionDowntime(ws, end)
 }

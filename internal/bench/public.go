@@ -262,11 +262,11 @@ func RunWorkload(workloadName, platformName string, opts Options) (WorkloadResul
 			SSDReadRetries: m.SSD.Stats().ReadRetries,
 			PoolStalls:     m.PoolStalls,
 		}
-		fr.PoolDowntime = fault.TotalDowntime(m.Fault.WindowsThrough(out.End), out.End)
+		fr.PoolDowntime = fault.TotalDowntime(m.Fault.Through(fault.Pool(), out.End), out.End)
 		if k := m.Cfg.Shards(); k > 1 {
 			fr.ShardDowntime = make([]sim.Time, k)
 			for s := 0; s < k; s++ {
-				fr.ShardDowntime[s] = fault.TotalDowntime(m.Fault.ShardWindowsThrough(s, out.End), out.End)
+				fr.ShardDowntime[s] = fault.TotalDowntime(m.Fault.Through(fault.Shard(s), out.End), out.End)
 				st := m.ShardStats[s]
 				fr.FailoverReads += st.FailoverReads
 				fr.ResyncPages += st.ResyncPages
@@ -280,24 +280,7 @@ func RunWorkload(workloadName, platformName string, opts Options) (WorkloadResul
 			}
 			if m.Fault.HasLinkFaults() {
 				fr.LinkFaults = true
-				// Union every directed link's windows — compute↔shard
-				// and shard↔shard, both directions — into one degraded
-				// figure. Endpoint order is fixed, so the schedule
-				// extension this forces is deterministic.
-				ends := make([]int, 0, k+1)
-				ends = append(ends, fault.EndpointCompute)
-				for s := 0; s < k; s++ {
-					ends = append(ends, s)
-				}
-				var links []fault.Window
-				for _, from := range ends {
-					for _, to := range ends {
-						if from != to {
-							links = append(links, m.Fault.LinkWindowsThrough(from, to, out.End)...)
-						}
-					}
-				}
-				fr.LinkDowntime = fault.UnionDowntime(links, out.End)
+				fr.LinkDowntime = linkDowntime(m.Fault, k, out.End)
 			}
 		}
 		tot := m.Fabric.Total()

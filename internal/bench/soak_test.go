@@ -356,11 +356,11 @@ func partitionScenario(t *testing.T) partObserved {
 	// Shard 0 cannot push copies to shard 1 for a long stretch; shard 2 can
 	// after t+80; the compute node loses shard 0 during [40,80) and shards
 	// 2 and 3 during [300,600).
-	plan.SetLinkWindows(0, 1, fault.Window{Down: us(10), Up: us(200)})
-	plan.SetLinkWindows(2, 1, fault.Window{Down: us(10), Up: us(80)})
-	plan.SetLinkWindows(fault.EndpointCompute, 0, fault.Window{Down: us(40), Up: us(80)})
-	plan.SetLinkWindows(fault.EndpointCompute, 2, fault.Window{Down: us(300), Up: us(600)})
-	plan.SetLinkWindows(fault.EndpointCompute, 3, fault.Window{Down: us(300), Up: us(600)})
+	plan.Pin(fault.Link(0, 1), fault.Window{Down: us(10), Up: us(200)})
+	plan.Pin(fault.Link(2, 1), fault.Window{Down: us(10), Up: us(80)})
+	plan.Pin(fault.Link(fault.EndpointCompute, 0), fault.Window{Down: us(40), Up: us(80)})
+	plan.Pin(fault.Link(fault.EndpointCompute, 2), fault.Window{Down: us(300), Up: us(600)})
+	plan.Pin(fault.Link(fault.EndpointCompute, 3), fault.Window{Down: us(300), Up: us(600)})
 
 	// Phase 1 — hinted handoff: two quorum writes commit on {0,2} and
 	// journal hinted records for the severed shard 1.

@@ -322,34 +322,3 @@ func findWorkload(name string) workload {
 	}
 	panic("bench: unknown workload " + name)
 }
-
-// DebugProfile exposes a single workload's per-operator profile for
-// calibration tooling.
-func DebugProfile(name string, opts Options, push bool) []profile.OpStat {
-	p := platBase
-	if push {
-		p = platTeleport
-	}
-	return run(findWorkload(name), opts, runSpec{platform: p}).Profile
-}
-
-// DebugTriple runs one workload on local/base/teleport with a cache-fraction
-// override (calibration tooling).
-func DebugTriple(name string, opts Options, frac float64) (local, base, tele sim.Time) {
-	w := findWorkload(name)
-	local = run(w, opts, runSpec{platform: platLocal}).Time
-	base = run(w, opts, runSpec{platform: platBase, cacheFrac: frac}).Time
-	tele = run(w, opts, runSpec{platform: platTeleport, cacheFrac: frac}).Time
-	return
-}
-
-// DebugTripleBytes is DebugTriple with an absolute cache size.
-func DebugTripleBytes(name string, opts Options, bytes int64) (local, base, tele sim.Time) {
-	w := findWorkload(name)
-	frac := func(p *ddc.Process) {}
-	_ = frac
-	local = run(w, opts, runSpec{platform: platLocal}).Time
-	base = run(w, opts, runSpec{platform: platBase, cacheBytes: bytes}).Time
-	tele = run(w, opts, runSpec{platform: platTeleport, cacheBytes: bytes}).Time
-	return
-}

@@ -12,15 +12,22 @@ import (
 )
 
 // Boundary-condition tests for pool-outage windows, pinned to exact
-// virtual-time instants with fault.NewWindowPlan. Windows are half-open
+// virtual-time instants with Plan.Pin. Windows are half-open
 // [Down, Up): the controller is down at Down, and back at exactly Up.
+
+// poolWindows returns a plan whose only faults are the given pool outages.
+func poolWindows(ws ...fault.Window) *fault.Plan {
+	p := fault.NewPlan(fault.Profile{Name: "windows"}, 0)
+	p.Pin(fault.Pool(), ws...)
+	return p
+}
 
 // A paging stall that waits out an outage wakes at exactly the window's Up
 // instant, and the plan reports the pool up at that same instant — the
 // wake-up never observes a still-down controller.
 func TestPoolWindowEndsExactlyAtWakeup(t *testing.T) {
 	const down, up = 100 * sim.Microsecond, 200 * sim.Microsecond
-	plan := fault.NewWindowPlan(fault.Window{Down: down, Up: up})
+	plan := poolWindows(fault.Window{Down: down, Up: up})
 	m := ddc.MustMachine(ddc.BaseDDC(64 * mem.PageSize))
 	m.AttachFault(plan)
 
@@ -32,8 +39,8 @@ func TestPoolWindowEndsExactlyAtWakeup(t *testing.T) {
 	if th.Now() != up {
 		t.Fatalf("woke at %v, want exactly %v", th.Now(), up)
 	}
-	if _, stillDown := plan.PoolDownAt(th.Now()); stillDown {
-		t.Fatal("PoolDownAt(Up) reports down: the wake-up instant must observe the pool up")
+	if _, stillDown := plan.DownAt(fault.Pool(), th.Now()); stillDown {
+		t.Fatal("DownAt(Pool(), Up) reports down: the wake-up instant must observe the pool up")
 	}
 	if m.PoolStalls != 1 {
 		t.Fatalf("PoolStalls = %d, want 1", m.PoolStalls)
@@ -49,7 +56,7 @@ func TestPoolWindowEndsExactlyAtWakeup(t *testing.T) {
 func TestHeartbeatEdgesAtWindowBoundaries(t *testing.T) {
 	const down, up = 100 * sim.Microsecond, 200 * sim.Microsecond
 	m := ddc.MustMachine(ddc.BaseDDC(64 * mem.PageSize))
-	m.AttachFault(fault.NewWindowPlan(fault.Window{Down: down, Up: up}))
+	m.AttachFault(poolWindows(fault.Window{Down: down, Up: up}))
 	rt := NewRuntime(m.NewProcess(), 1)
 
 	for _, tc := range []struct {
@@ -76,7 +83,7 @@ func TestRetryAtExactRecoveryInstant(t *testing.T) {
 	p, rt := testProc(16)
 	ring := trace.New(256)
 	p.M.AttachTrace(ring)
-	p.M.AttachFault(fault.NewWindowPlan(fault.Window{Down: down, Up: up}))
+	p.M.AttachFault(poolWindows(fault.Window{Down: down, Up: up}))
 
 	th := sim.NewThread("t")
 	a := fillVec(p, th, 64)
@@ -119,7 +126,7 @@ func TestPushdownAtExactRecoveryInstant(t *testing.T) {
 	p, rt := testProc(16)
 	ring := trace.New(256)
 	p.M.AttachTrace(ring)
-	p.M.AttachFault(fault.NewWindowPlan(fault.Window{Down: down, Up: up}))
+	p.M.AttachFault(poolWindows(fault.Window{Down: down, Up: up}))
 
 	th := sim.NewThread("t")
 	a := fillVec(p, th, 64)
@@ -136,7 +143,7 @@ func TestPushdownAtExactRecoveryInstant(t *testing.T) {
 	}
 	// One nanosecond earlier the same call fails.
 	p2, rt2 := testProc(16)
-	p2.M.AttachFault(fault.NewWindowPlan(fault.Window{Down: down, Up: up}))
+	p2.M.AttachFault(poolWindows(fault.Window{Down: down, Up: up}))
 	th2 := sim.NewThread("t")
 	a2 := fillVec(p2, th2, 64)
 	th2.AdvanceTo(up - 1)
@@ -167,7 +174,7 @@ func TestWaitPoolUpNilPlan(t *testing.T) {
 func TestWaitPoolUpAtExactUpBoundary(t *testing.T) {
 	const down, up = 100 * sim.Microsecond, 200 * sim.Microsecond
 	m := ddc.MustMachine(ddc.BaseDDC(64 * mem.PageSize))
-	m.AttachFault(fault.NewWindowPlan(fault.Window{Down: down, Up: up}))
+	m.AttachFault(poolWindows(fault.Window{Down: down, Up: up}))
 	th := sim.NewThread("t")
 	th.AdvanceTo(up)
 	if m.WaitPoolUp(th) {
@@ -186,7 +193,7 @@ func TestWaitPoolUpAdjacentWindows(t *testing.T) {
 	const d1, u1 = 100 * sim.Microsecond, 200 * sim.Microsecond
 	const d2, u2 = 200 * sim.Microsecond, 300 * sim.Microsecond
 	m := ddc.MustMachine(ddc.BaseDDC(64 * mem.PageSize))
-	m.AttachFault(fault.NewWindowPlan(fault.Window{Down: d1, Up: u1}, fault.Window{Down: d2, Up: u2}))
+	m.AttachFault(poolWindows(fault.Window{Down: d1, Up: u1}, fault.Window{Down: d2, Up: u2}))
 	th := sim.NewThread("t")
 	th.AdvanceTo(150 * sim.Microsecond)
 	if !m.WaitPoolUp(th) {
@@ -205,15 +212,15 @@ func TestWaitPoolUpAdjacentWindows(t *testing.T) {
 // appear — but the plan still counts the window as scheduled.
 func TestZeroLengthWindowIsInert(t *testing.T) {
 	const at = 100 * sim.Microsecond
-	plan := fault.NewWindowPlan(fault.Window{Down: at, Up: at})
+	plan := poolWindows(fault.Window{Down: at, Up: at})
 	p, rt := testProc(16)
 	ring := trace.New(256)
 	p.M.AttachTrace(ring)
 	p.M.AttachFault(plan)
 
 	for _, ts := range []sim.Time{at - 1, at, at + 1} {
-		if _, isDown := plan.PoolDownAt(ts); isDown {
-			t.Fatalf("PoolDownAt(%v) reports down for a zero-length window", ts)
+		if _, isDown := plan.DownAt(fault.Pool(), ts); isDown {
+			t.Fatalf("DownAt(Pool(), %v) reports down for a zero-length window", ts)
 		}
 	}
 

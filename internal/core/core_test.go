@@ -902,7 +902,7 @@ func TestPolicyRetriesThroughScheduledOutage(t *testing.T) {
 	// Probe forward for the first crash window and park the caller inside it.
 	var inWindow sim.Time
 	for ts := sim.Time(0); ts < 10*sim.Second; ts += 100 * sim.Microsecond {
-		if _, down := plan.PoolDownAt(ts); down {
+		if _, down := plan.DownAt(fault.Pool(), ts); down {
 			inWindow = ts
 			break
 		}

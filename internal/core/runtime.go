@@ -2,9 +2,10 @@ package core
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"teleport/internal/ddc"
+	"teleport/internal/fault"
 	"teleport/internal/hw"
 	"teleport/internal/mem"
 	"teleport/internal/metrics"
@@ -207,7 +208,7 @@ func (r *Runtime) poolDownAt(ts sim.Time) (recoverAt sim.Time, down bool) {
 	if r.down {
 		return 0, true
 	}
-	return r.P.M.Fault.PoolDownAt(ts)
+	return r.P.M.Fault.DownAt(fault.Pool(), ts)
 }
 
 // shardGate checks every resident page's shard reachability on a sharded
@@ -226,43 +227,29 @@ func (r *Runtime) shardGate(t *sim.Thread, entries []netmodel.PageEntry) error {
 	}
 	now := t.Now()
 	// Resolve each shard's compute-side usability once; the entries stripe
-	// across all of them. usableAt folds the crash and link-partition
-	// schedules: a shard that is up but partitioned is as unusable as a
-	// crashed one.
+	// across all of them. A shard that is up but partitioned is as unusable
+	// as a crashed one.
 	usableAt := make([]sim.Time, k)
 	for s := 0; s < k; s++ {
-		usableAt[s] = m.ShardUsableAt(s, now)
+		usableAt[s] = m.UsableAt(ddc.ComputePath(s), now)
 	}
 	reps := m.Cfg.EffReplicas()
 	w := m.Cfg.EffWriteQuorum()
-	heals := make([]sim.Time, 0, reps)
 	var downWait, quorumWait sim.Time
 	for _, e := range entries {
 		primary := ddc.ShardOf(mem.PageID(e.ID), k)
-		usable := 0
-		heals = heals[:0]
-		for i := 0; i < reps; i++ {
-			if at := usableAt[(primary+i)%k]; at == now {
-				usable++
-			} else {
-				heals = append(heals, at)
-			}
-		}
-		if usable >= w {
-			continue
-		}
-		sort.Slice(heals, func(i, j int) bool { return heals[i] < heals[j] })
-		if usable == 0 {
-			// The whole replica set is unreachable: the earliest
-			// member heal unblocks the page.
-			if downWait == 0 || heals[0] < downWait {
-				downWait = heals[0]
+		member := func(i int) sim.Time { return usableAt[(primary+i)%k] }
+		// The whole replica set is unreachable: the earliest member heal
+		// unblocks the page.
+		if wake, short := quorumHeal(now, reps, 1, member); short {
+			if downWait == 0 || wake < downWait {
+				downWait = wake
 			}
 			continue
 		}
-		// Below the write quorum: quorum is restored once W−usable more
+		// Below the write quorum: quorum is restored once enough more
 		// members heal.
-		if wake := heals[w-usable-1]; quorumWait == 0 || wake < quorumWait {
+		if wake, short := quorumHeal(now, reps, w, member); short && (quorumWait == 0 || wake < quorumWait) {
 			quorumWait = wake
 		}
 	}
@@ -294,22 +281,29 @@ func (r *Runtime) pageQuorumWait(pg mem.PageID, now sim.Time) (sim.Time, bool) {
 	if k <= 1 || w <= 1 {
 		return 0, false
 	}
-	reps := m.Cfg.EffReplicas()
 	primary := ddc.ShardOf(pg, k)
+	return quorumHeal(now, m.Cfg.EffReplicas(), w, func(i int) sim.Time {
+		return m.UsableAt(ddc.ComputePath((primary+i)%k), now)
+	})
+}
+
+// quorumHeal counts the members of a replica set usable at now, in ring
+// order, where usableAt(i) is member i's earliest usable instant. Once need
+// members are usable it reports false, asking no further member; otherwise
+// it returns the instant enough heals bring the set to need usable members.
+func quorumHeal(now sim.Time, reps, need int, usableAt func(i int) sim.Time) (sim.Time, bool) {
+	var buf [8]sim.Time
+	heals := buf[:0]
 	usable := 0
-	heals := make([]sim.Time, 0, reps)
 	for i := 0; i < reps; i++ {
-		if at := m.ShardUsableAt((primary+i)%k, now); at == now {
-			usable++
-			if usable >= w {
-				return 0, false
-			}
-		} else {
+		if at := usableAt(i); at != now {
 			heals = append(heals, at)
+		} else if usable++; usable >= need {
+			return 0, false
 		}
 	}
-	sort.Slice(heals, func(i, j int) bool { return heals[i] < heals[j] })
-	return heals[w-usable-1], true
+	slices.Sort(heals)
+	return heals[need-usable-1], true
 }
 
 // observeHeartbeat is one compute-side heartbeat observation at t's current

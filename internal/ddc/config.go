@@ -13,6 +13,9 @@
 package ddc
 
 import (
+	"fmt"
+
+	"teleport/internal/fault"
 	"teleport/internal/hw"
 	"teleport/internal/mem"
 )
@@ -49,7 +52,9 @@ type Config struct {
 	// PoolShards splits the memory pool across this many controllers, each
 	// an independent crash domain under the fault plan's per-shard
 	// schedules; pages stripe across shards by page ID (ShardOf). 0 or 1
-	// keeps the single-controller pool. Only meaningful when Disaggregated.
+	// keeps the single-controller pool. At most fault.MaxShards (511), so
+	// every shard and link keeps a fault schedule of its own. Only
+	// meaningful when Disaggregated.
 	PoolShards int
 
 	// Replicas keeps every page on this many distinct shards — its primary
@@ -115,6 +120,10 @@ func (c *Config) Validate() error {
 	}
 	if c.PoolShards < 0 || c.Replicas < 0 {
 		return errConfig("pool shards and replicas cannot be negative")
+	}
+	if c.PoolShards > fault.MaxShards {
+		// Past the bound two links would share one fault schedule.
+		return errConfig(fmt.Sprintf("pool shards cannot exceed %d", fault.MaxShards))
 	}
 	if !c.Disaggregated && (c.PoolShards > 1 || c.Replicas > 1) {
 		return errConfig("pool shards and replicas apply only to disaggregated machines")

@@ -467,7 +467,7 @@ func TestWaitPoolUpStallsPaging(t *testing.T) {
 	// faulting thread must stall to at least the recovery time.
 	var at, rec sim.Time
 	for probe := sim.Time(0); ; probe += 100 * sim.Microsecond {
-		if r, down := plan.PoolDownAt(probe); down {
+		if r, down := plan.DownAt(fault.Pool(), probe); down {
 			at, rec = probe, r
 			break
 		}

@@ -203,7 +203,7 @@ func (m *Machine) CounterSource() func() map[string]int64 {
 // controller restarts (the compute pool has nowhere else to get the page
 // from). It reports whether a stall happened.
 func (m *Machine) WaitPoolUp(t *sim.Thread) bool {
-	recoverAt, down := m.Fault.PoolDownAt(t.Now())
+	recoverAt, down := m.Fault.DownAt(fault.Pool(), t.Now())
 	if !down {
 		//lint:allow timecharge healthy-controller probe reads the fault schedule only: zero cost by design
 		return false
@@ -216,7 +216,7 @@ func (m *Machine) WaitPoolUp(t *sim.Thread) bool {
 	// however many windows it spans.
 	for down {
 		t.AdvanceTo(recoverAt)
-		recoverAt, down = m.Fault.PoolDownAt(t.Now())
+		recoverAt, down = m.Fault.DownAt(fault.Pool(), t.Now())
 	}
 	m.Times.Add(metrics.CompPoolStall, t.Now()-start)
 	m.Metrics.Counter("pool.stall").Inc()

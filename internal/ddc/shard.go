@@ -19,6 +19,8 @@ package ddc
 // time, so healthy replicated runs match the pre-quorum model exactly.
 
 import (
+	"math"
+
 	"teleport/internal/fault"
 	"teleport/internal/mem"
 	"teleport/internal/metrics"
@@ -70,72 +72,55 @@ type resyncQueue struct {
 	seen map[mem.PageID]int // page → index into recs
 }
 
-// shardUsable reports whether shard s can serve compute traffic at ts: the
-// shard is up and both directions of its compute link are unpartitioned.
-func (m *Machine) shardUsable(s int, ts sim.Time) bool {
-	if _, down := m.Fault.ShardDownAt(s, ts); down {
-		return false
-	}
-	if _, down := m.Fault.LinkDownAt(fault.EndpointCompute, s, ts); down {
-		return false
-	}
-	if _, down := m.Fault.LinkDownAt(s, fault.EndpointCompute, ts); down {
-		return false
-	}
-	return true
+// ComputePath lists what compute↔shard-s traffic depends on: shard s and
+// both directions of its compute link. Paths feed UsableAt.
+func ComputePath(s int) []fault.Component {
+	return []fault.Component{fault.Shard(s), fault.Link(fault.EndpointCompute, s), fault.Link(s, fault.EndpointCompute)}
 }
 
-// ShardUsableAt returns the earliest instant ≥ at when shard s is up and
-// reachable from the compute node in both directions. The loop re-checks
-// after every candidate heal because a heal instant can land inside another
+// pushPath lists what a one-way transfer src→tgt depends on: shard tgt and
+// the src→tgt link direction (partitions are asymmetric, so only the sending
+// direction matters). src is a shard for replica copies and EndpointCompute
+// for fire-and-forget compute→shard writes.
+func pushPath(src, tgt int) []fault.Component {
+	return []fault.Component{fault.Shard(tgt), fault.Link(src, tgt)}
+}
+
+// never is a limit usableBy never reaches.
+const never = sim.Time(math.MaxInt64)
+
+// UsableAt returns the earliest instant ≥ at when every component on path is
+// up.
+func (m *Machine) UsableAt(path []fault.Component, at sim.Time) sim.Time {
+	return m.usableBy(path, at, never)
+}
+
+// usable reports whether every component on path is up at ts.
+func (m *Machine) usable(path []fault.Component, ts sim.Time) bool {
+	return m.usableBy(path, ts, ts) == ts
+}
+
+// usableBy returns the earliest instant ≥ at when every component on path is
+// up, or the first heal past limit once the search passes it. The walk
+// restarts after every heal because a heal instant can land inside another
 // blocking window (adjacent crash windows, or a crash overlapping a
-// partition); schedules always heal, so the loop terminates.
-func (m *Machine) ShardUsableAt(s int, at sim.Time) sim.Time {
-	for {
-		next := at
-		if rec, down := m.Fault.ShardDownAt(s, at); down && rec > next {
-			next = rec
+// partition); schedules always heal, so the loop terminates. No component
+// is queried past the returned instant, and a check with limit == at stops
+// at the first component down: a boolean check extends no schedule past its
+// own instant, which keeps the plan's generated-window Counters unchanged.
+func (m *Machine) usableBy(path []fault.Component, at, limit sim.Time) sim.Time {
+	for i := 0; i < len(path); {
+		rec, down := m.Fault.DownAt(path[i], at)
+		if !down {
+			i++
+			continue
 		}
-		if rec, down := m.Fault.LinkDownAt(fault.EndpointCompute, s, at); down && rec > next {
-			next = rec
-		}
-		if rec, down := m.Fault.LinkDownAt(s, fault.EndpointCompute, at); down && rec > next {
-			next = rec
-		}
-		if next == at {
+		if at = rec; at > limit {
 			return at
 		}
-		at = next
+		i = 0
 	}
-}
-
-// replicaReachable reports whether a one-way copy push src→tgt can land at
-// ts: the target shard is up and the src→tgt link direction is unpartitioned
-// (partitions are asymmetric, so only the sending direction matters).
-func (m *Machine) replicaReachable(src, tgt int, ts sim.Time) bool {
-	if _, down := m.Fault.ShardDownAt(tgt, ts); down {
-		return false
-	}
-	_, down := m.Fault.LinkDownAt(src, tgt, ts)
-	return !down
-}
-
-// replicaReachableAt returns the earliest instant ≥ at when a copy push
-// src→tgt can land, with the same re-check loop as ShardUsableAt.
-func (m *Machine) replicaReachableAt(src, tgt int, at sim.Time) sim.Time {
-	for {
-		next := at
-		if rec, down := m.Fault.ShardDownAt(tgt, at); down && rec > next {
-			next = rec
-		}
-		if rec, down := m.Fault.LinkDownAt(src, tgt, at); down && rec > next {
-			next = rec
-		}
-		if next == at {
-			return at
-		}
-		at = next
-	}
+	return at
 }
 
 // bumpPageVer advances pg's committed version and returns it (0 on
@@ -187,7 +172,7 @@ func (m *Machine) AccessPage(t *sim.Thread, pg mem.PageID, write bool) int {
 	}
 	primary := ShardOf(pg, k)
 	r := m.Cfg.EffReplicas()
-	if m.shardUsable(primary, t.Now()) {
+	if m.usable(ComputePath(primary), t.Now()) {
 		m.drainHandoff(t, primary)
 		m.serveQuorumRead(t, pg, primary, primary, write)
 		//lint:allow timecharge healthy-primary access is free by design: drain/consult/repair charge their own transfers
@@ -195,7 +180,7 @@ func (m *Machine) AccessPage(t *sim.Thread, pg mem.PageID, write bool) int {
 	}
 	for i := 1; i < r; i++ {
 		s := (primary + i) % k
-		if !m.shardUsable(s, t.Now()) {
+		if !m.usable(ComputePath(s), t.Now()) {
 			continue
 		}
 		m.drainHandoff(t, s)
@@ -216,14 +201,14 @@ func (m *Machine) AccessPage(t *sim.Thread, pg mem.PageID, write bool) int {
 	start := t.Now()
 	wake := sim.Time(-1)
 	for i := 0; i < r; i++ {
-		if at := m.ShardUsableAt((primary+i)%k, start); wake < 0 || at < wake {
+		if at := m.UsableAt(ComputePath((primary+i)%k), start); wake < 0 || at < wake {
 			wake = at
 		}
 	}
 	t.AdvanceTo(wake)
 	served := primary
 	for i := 0; i < r; i++ {
-		if s := (primary + i) % k; m.shardUsable(s, t.Now()) {
+		if s := (primary + i) % k; m.usable(ComputePath(s), t.Now()) {
 			served = s
 			break
 		}
@@ -267,7 +252,7 @@ func (m *Machine) consultReadQuorum(t *sim.Thread, pg mem.PageID, served, primar
 	got := 0
 	for i := 0; i < r && got < need; i++ {
 		s := (primary + i) % k
-		if s == served || !m.shardUsable(s, t.Now()) {
+		if s == served || !m.usable(ComputePath(s), t.Now()) {
 			continue
 		}
 		m.Fabric.RoundTrip(t, ctrlMsgBytes, ctrlMsgBytes, netmodel.ClassReplica)
@@ -283,7 +268,7 @@ func (m *Machine) consultReadQuorum(t *sim.Thread, pg mem.PageID, served, primar
 			if s == served || consulted[i] {
 				continue
 			}
-			if at := m.ShardUsableAt(s, t.Now()); best < 0 || at < bestAt {
+			if at := m.UsableAt(ComputePath(s), t.Now()); best < 0 || at < bestAt {
 				best, bestAt = i, at
 			}
 		}
@@ -328,7 +313,7 @@ func (m *Machine) readRepair(t *sim.Thread, pg mem.PageID, served, primary int) 
 			if s == served || m.copyVer(s, pg) < want {
 				continue
 			}
-			if m.replicaReachable(s, served, t.Now()) {
+			if m.usable(pushPath(s, served), t.Now()) {
 				src = s
 				break
 			}
@@ -342,7 +327,7 @@ func (m *Machine) readRepair(t *sim.Thread, pg mem.PageID, served, primary int) 
 			if s == served || m.copyVer(s, pg) < want {
 				continue
 			}
-			if at := m.replicaReachableAt(s, served, t.Now()); wake < 0 || at < wake {
+			if at := m.UsableAt(pushPath(s, served), t.Now()); wake < 0 || at < wake {
 				wake = at
 			}
 		}
@@ -388,14 +373,14 @@ func (m *Machine) ReplicatePage(t *sim.Thread, pg mem.PageID, served int) {
 		if s == served {
 			continue
 		}
-		if m.replicaReachable(served, s, t.Now()) {
+		if m.usable(pushPath(served, s), t.Now()) {
 			m.Fabric.Send(t, writebackBytes, netmodel.ClassReplica)
 			m.Metrics.Counter("shard.replica-write").Inc()
 			m.setCopyVer(s, pg, ver)
 			acked++
 			continue
 		}
-		_, down := m.Fault.ShardDownAt(s, t.Now())
+		_, down := m.Fault.DownAt(fault.Shard(s), t.Now())
 		m.journalHandoff(t, s, pg, ver, served, !down)
 		pending = append(pending, s)
 	}
@@ -414,7 +399,7 @@ func (m *Machine) ReplicatePage(t *sim.Thread, pg mem.PageID, served int) {
 	for acked < w && len(pending) > 0 {
 		best, bestAt := -1, sim.Time(0)
 		for j, s := range pending {
-			if at := m.replicaReachableAt(served, s, t.Now()); best < 0 || at < bestAt {
+			if at := m.UsableAt(pushPath(served, s), t.Now()); best < 0 || at < bestAt {
 				best, bestAt = j, at
 			}
 		}
@@ -444,26 +429,15 @@ func (m *Machine) serveShard(ts sim.Time, pg mem.PageID) int {
 		return 0
 	}
 	primary := ShardOf(pg, k)
-	if m.writeReachable(primary, ts) {
+	if m.usable(pushPath(fault.EndpointCompute, primary), ts) {
 		return primary
 	}
 	for i := 1; i < m.Cfg.EffReplicas(); i++ {
-		if s := (primary + i) % k; m.writeReachable(s, ts) {
+		if s := (primary + i) % k; m.usable(pushPath(fault.EndpointCompute, s), ts) {
 			return s
 		}
 	}
 	return primary
-}
-
-// writeReachable reports whether a fire-and-forget compute→shard transfer
-// can land on shard s at ts: s is up and the compute→s direction is
-// unpartitioned (the return direction does not matter).
-func (m *Machine) writeReachable(s int, ts sim.Time) bool {
-	if _, down := m.Fault.ShardDownAt(s, ts); down {
-		return false
-	}
-	_, down := m.Fault.LinkDownAt(fault.EndpointCompute, s, ts)
-	return !down
 }
 
 // journalHandoff queues pg for re-replication to shard target once it is
@@ -571,7 +545,7 @@ func (m *Machine) pickHandoffSource(rec handoffRec, tgt int, ts sim.Time) (int, 
 	if v := m.copyVer(rec.src, rec.pg); v > need {
 		need = v
 	}
-	if m.copyVer(rec.src, rec.pg) >= need && m.replicaReachable(rec.src, tgt, ts) {
+	if m.copyVer(rec.src, rec.pg) >= need && m.usable(pushPath(rec.src, tgt), ts) {
 		// The journalled source is itself up (a reachable crashed shard is
 		// impossible) and holds the fresh copy: the common case.
 		return rec.src, m.copyVer(rec.src, rec.pg)
@@ -583,7 +557,7 @@ func (m *Machine) pickHandoffSource(rec handoffRec, tgt int, ts sim.Time) (int, 
 		if s == tgt || s == rec.src || m.copyVer(s, rec.pg) < need {
 			continue
 		}
-		if m.replicaReachable(s, tgt, ts) {
+		if m.usable(pushPath(s, tgt), ts) {
 			return s, m.copyVer(s, rec.pg)
 		}
 	}

@@ -29,7 +29,7 @@ func shardMachine(t *testing.T, shards, replicas int, ws ...fault.Window) (*Mach
 	cfg.PoolShards, cfg.Replicas = shards, replicas
 	m := MustMachine(cfg)
 	plan := fault.NewPlan(fault.Profile{Name: "t"}, 0)
-	plan.SetShardWindows(0, ws...)
+	plan.Pin(fault.Shard(0), ws...)
 	m.AttachFault(plan)
 	return m, plan
 }
@@ -196,7 +196,7 @@ func TestRemoteFaultWithStorageLegCountsOneFailover(t *testing.T) {
 	p.ResizeCache(mem.PageSize)
 	p.ResizePool(mem.PageSize)
 	down := th.Now() + 10*sim.Microsecond
-	plan.SetShardWindows(0, fault.Window{Down: down, Up: down + 10*sim.Millisecond})
+	plan.Pin(fault.Shard(0), fault.Window{Down: down, Up: down + 10*sim.Millisecond})
 	th.AdvanceTo(down + sim.Microsecond)
 
 	// Pick a page whose primary is the crashed shard 0.
@@ -230,3 +230,57 @@ func TestConfigShardValidation(t *testing.T) {
 		t.Fatalf("Shards()=%d EffReplicas()=%d, want 4 and 2", m.Cfg.Shards(), m.Cfg.EffReplicas())
 	}
 }
+
+// The earliest-usable walk chains through windows that heal into each
+// other: shard 1 crashes, its compute→shard link is cut before the crash
+// heals, and the shard→compute link is cut before that heals. Compute
+// traffic waits out all three; a one-way push waits only for the shard and
+// its own sending direction.
+func TestUsableAtChainsHeals(t *testing.T) {
+	m, plan := shardMachine(t, 4, 2)
+	plan.Pin(fault.Shard(1), fault.Window{Down: us(10), Up: us(20)})
+	plan.Pin(fault.Link(fault.EndpointCompute, 1), fault.Window{Down: us(15), Up: us(30)})
+	plan.Pin(fault.Link(1, fault.EndpointCompute), fault.Window{Down: us(25), Up: us(40)})
+	// Shard 2's partition heals back into a second crash of the shard the
+	// walk had already passed: it must re-check the whole path.
+	plan.Pin(fault.Shard(2), fault.Window{Down: us(10), Up: us(20)}, fault.Window{Down: us(28), Up: us(35)})
+	plan.Pin(fault.Link(fault.EndpointCompute, 2), fault.Window{Down: us(15), Up: us(30)})
+
+	cases := []struct {
+		name string
+		path []fault.Component
+		at   sim.Time
+		want sim.Time
+	}{
+		{"compute path from inside the crash", ComputePath(1), us(12), us(40)},
+		{"compute path before any window", ComputePath(1), us(5), us(5)},
+		{"compute path at the last heal", ComputePath(1), us(40), us(40)},
+		{"compute→shard push ignores shard→compute", pushPath(fault.EndpointCompute, 1), us(12), us(30)},
+		{"replica push over an uncut link", pushPath(0, 1), us(12), us(20)},
+		{"partition healing into a second crash", ComputePath(2), us(12), us(35)},
+	}
+	for _, tc := range cases {
+		if got := m.UsableAt(tc.path, tc.at); got != tc.want {
+			t.Errorf("%s: UsableAt(%v) = %v, want %v", tc.name, tc.at, got, tc.want)
+		}
+		if got, want := m.usable(tc.path, tc.at), tc.want == tc.at; got != want {
+			t.Errorf("%s: usable(%v) = %v, want %v", tc.name, tc.at, got, want)
+		}
+	}
+}
+
+// PoolShards is bounded by fault.MaxShards: past it two links would share
+// one fault schedule.
+func TestConfigPoolShardBound(t *testing.T) {
+	cfg := BaseDDC(64 * mem.PageSize)
+	cfg.PoolShards = fault.MaxShards
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("PoolShards = %d rejected: %v", cfg.PoolShards, err)
+	}
+	cfg.PoolShards = fault.MaxShards + 1
+	if err := cfg.Validate(); err == nil {
+		t.Fatalf("PoolShards = %d accepted", cfg.PoolShards)
+	}
+}
+
+func us(n int64) sim.Time { return sim.Time(n) * sim.Microsecond }

@@ -11,7 +11,7 @@ func TestNilPlanIsInert(t *testing.T) {
 	if lost, extra := p.SendFault(0); lost || extra != 0 {
 		t.Fatal("nil plan injected a net fault")
 	}
-	if _, down := p.PoolDownAt(sim.Second); down {
+	if _, down := p.DownAt(Pool(), sim.Second); down {
 		t.Fatal("nil plan crashed the pool")
 	}
 	if p.CtxCrash() || p.SSDReadError() {
@@ -29,7 +29,7 @@ func TestZeroProfileInjectsNothing(t *testing.T) {
 			t.Fatal("zero profile injected a net fault")
 		}
 	}
-	if _, down := p.PoolDownAt(10 * sim.Second); down {
+	if _, down := p.DownAt(Pool(), 10*sim.Second); down {
 		t.Fatal("zero profile crashed the pool")
 	}
 	if p.CtxCrash() || p.SSDReadError() {
@@ -111,7 +111,7 @@ func TestCrashScheduleQueryOrderIndependent(t *testing.T) {
 		p := NewPlan(CrashyPool(), 11)
 		out := map[sim.Time]obs{}
 		for _, at := range order {
-			rec, down := p.PoolDownAt(at)
+			rec, down := p.DownAt(Pool(), at)
 			out[at] = obs{rec, down}
 		}
 		return out
@@ -135,7 +135,7 @@ func TestCrashWindowsAlternateAndRecover(t *testing.T) {
 	// time strictly in the future, after which the pool is up again.
 	found := false
 	for at := sim.Time(0); at < 2*sim.Second; at += 100 * sim.Microsecond {
-		rec, down := p.PoolDownAt(at)
+		rec, down := p.DownAt(Pool(), at)
 		if !down {
 			continue
 		}
@@ -143,7 +143,7 @@ func TestCrashWindowsAlternateAndRecover(t *testing.T) {
 		if rec <= at {
 			t.Fatalf("recovery %v not after crash observation %v", rec, at)
 		}
-		if _, still := p.PoolDownAt(rec); still {
+		if _, still := p.DownAt(Pool(), rec); still {
 			t.Fatalf("pool still down at its own recovery time %v", rec)
 		}
 	}

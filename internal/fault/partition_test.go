@@ -48,7 +48,7 @@ func TestUnionDowntimeBoundaries(t *testing.T) {
 
 func TestLinkWindowsHalfOpenBoundaries(t *testing.T) {
 	p := NewPlan(Profile{Name: "t"}, 0)
-	p.SetLinkWindows(0, 1,
+	p.Pin(Link(0, 1),
 		Window{Down: us(10), Up: us(20)},
 		Window{Down: us(20), Up: us(30)}, // exactly adjacent: one continuous outage
 		Window{Down: us(40), Up: us(40)}, // zero-length: inert
@@ -69,17 +69,17 @@ func TestLinkWindowsHalfOpenBoundaries(t *testing.T) {
 		{us(40) + 1, false, 0},
 	}
 	for _, tc := range cases {
-		rec, down := p.LinkDownAt(0, 1, tc.at)
+		rec, down := p.DownAt(Link(0, 1), tc.at)
 		if down != tc.down || rec != tc.rec {
-			t.Fatalf("LinkDownAt(0,1,%v) = (%v, %v), want (%v, %v)", tc.at, rec, down, tc.rec, tc.down)
+			t.Fatalf("DownAt(Link(0, 1), %v) = (%v, %v), want (%v, %v)", tc.at, rec, down, tc.rec, tc.down)
 		}
 	}
 	// Directions are independent: the reverse link never went down.
-	if _, down := p.LinkDownAt(1, 0, us(15)); down {
+	if _, down := p.DownAt(Link(1, 0), us(15)); down {
 		t.Fatal("pinning 0→1 windows partitioned the 1→0 direction")
 	}
 	// Degenerate endpoints are never partitioned.
-	if _, down := p.LinkDownAt(1, 1, us(15)); down {
+	if _, down := p.DownAt(Link(1, 1), us(15)); down {
 		t.Fatal("self-link reported down")
 	}
 	if got := p.Counters().LinkWindows; got != 3 {
@@ -94,20 +94,20 @@ func TestSetLinkWindowsRejectsOverlap(t *testing.T) {
 		}
 	}()
 	p := NewPlan(Profile{Name: "t"}, 0)
-	p.SetLinkWindows(EndpointCompute, 0,
+	p.Pin(Link(EndpointCompute, 0),
 		Window{Down: us(10), Up: us(30)},
 		Window{Down: us(20), Up: us(40)},
 	)
 }
 
-// LinkWindowsThrough returns exactly the windows LinkDownAt reports down
+// Through(Link) returns exactly the windows DownAt reports down
 // for: pinned windows beginning before the horizon, and — when the endpoints
 // sit on opposite sides of the split-brain cut — the split windows too.
 func TestLinkWindowsThroughIncludesSplit(t *testing.T) {
 	p := NewPlan(Profile{Name: "split", SplitMeanUp: sim.Millisecond, SplitMeanDown: 100 * sim.Microsecond}, 11)
 	const horizon = 20 * sim.Millisecond
 	// Compute (side 0) ↔ shard 1 (side 1) crosses the cut.
-	cross := p.LinkWindowsThrough(EndpointCompute, 1, horizon)
+	cross := p.Through(Link(EndpointCompute, 1), horizon)
 	if len(cross) == 0 {
 		t.Fatal("split profile generated no windows across the cut")
 	}
@@ -116,17 +116,17 @@ func TestLinkWindowsThroughIncludesSplit(t *testing.T) {
 			t.Fatalf("window [%v,%v) begins past the horizon %v", w.Down, w.Up, horizon)
 		}
 		mid := w.Down + (w.Up-w.Down)/2
-		if _, down := p.LinkDownAt(EndpointCompute, 1, mid); !down {
-			t.Fatalf("LinkDownAt up at %v inside reported window [%v,%v)", mid, w.Down, w.Up)
+		if _, down := p.DownAt(Link(EndpointCompute, 1), mid); !down {
+			t.Fatalf("DownAt up at %v inside reported window [%v,%v)", mid, w.Down, w.Up)
 		}
 	}
 	// Shards 0 and 2 share a side: the cut never severs them.
-	if same := p.LinkWindowsThrough(0, 2, horizon); len(same) != 0 {
+	if same := p.Through(Link(0, 2), horizon); len(same) != 0 {
 		t.Fatalf("same-side link got %d split windows", len(same))
 	}
 	// Both directions of a cut-crossing link see the identical correlated
 	// schedule.
-	rev := p.LinkWindowsThrough(1, EndpointCompute, horizon)
+	rev := p.Through(Link(1, EndpointCompute), horizon)
 	if len(rev) != len(cross) {
 		t.Fatalf("cut windows differ by direction: %d vs %d", len(rev), len(cross))
 	}
@@ -137,24 +137,62 @@ func TestLinkWindowsThroughIncludesSplit(t *testing.T) {
 	}
 }
 
-// WindowsThrough-style horizons are exclusive of later windows but keep ones
+// Through horizons are exclusive of later windows but keep ones
 // that straddle the horizon; TotalDowntime then clips at the horizon. The
 // same algebra backs the shard and link variants.
 func TestShardWindowsThroughBoundaries(t *testing.T) {
 	p := NewPlan(Profile{Name: "t"}, 0)
-	p.SetShardWindows(2,
+	p.Pin(Shard(2),
 		Window{Down: us(10), Up: us(20)},
 		Window{Down: us(30), Up: us(90)},  // straddles the horizon below
 		Window{Down: us(95), Up: us(100)}, // begins past it
 	)
-	ws := p.ShardWindowsThrough(2, us(50))
+	ws := p.Through(Shard(2), us(50))
 	if len(ws) != 2 {
-		t.Fatalf("ShardWindowsThrough returned %d windows, want 2 (past-horizon window excluded)", len(ws))
+		t.Fatalf("Through returned %d windows, want 2 (past-horizon window excluded)", len(ws))
 	}
 	if got := TotalDowntime(ws, us(50)); got != us(30) {
 		t.Fatalf("TotalDowntime = %v, want %v (10 full + 20 clipped)", got, us(30))
 	}
 	if got := UnionDowntime(ws, us(50)); got != us(30) {
 		t.Fatalf("UnionDowntime = %v, want %v", got, us(30))
+	}
+}
+
+// Every component of a MaxShards-shard pool draws from a stream of its own:
+// the pool, each shard, each directed link and the split cut map to
+// distinct salts, and every shard salt stays below the split salt.
+func TestComponentSaltsDistinct(t *testing.T) {
+	if MaxShards != 511 {
+		t.Fatalf("MaxShards = %d, want 511", MaxShards)
+	}
+	seen := map[uint64]Component{}
+	add := func(c Component) {
+		t.Helper()
+		if prev, dup := seen[c.salt()]; dup {
+			t.Fatalf("%+v and %+v share salt %#x", prev, c, c.salt())
+		}
+		seen[c.salt()] = c
+	}
+	add(Pool())
+	add(splitCut)
+	for s := 0; s < MaxShards; s++ {
+		if Shard(s).salt() >= splitSalt {
+			t.Fatalf("shard %d salt %#x reaches the split salt", s, Shard(s).salt())
+		}
+		add(Shard(s))
+	}
+	for from := EndpointCompute; from < MaxShards; from++ {
+		for to := EndpointCompute; to < MaxShards; to++ {
+			if from != to {
+				add(Link(from, to))
+			}
+		}
+	}
+	// The layer streams (net 1, ctx 3, ssd 4, ctxMid 5) stay distinct too.
+	for _, salt := range []uint64{1, 3, 4, 5} {
+		if c, dup := seen[salt]; dup {
+			t.Fatalf("%+v shares layer salt %d", c, salt)
+		}
 	}
 }

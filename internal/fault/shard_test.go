@@ -20,7 +20,7 @@ func TestShardDownAtSameSeedIdentical(t *testing.T) {
 		for step := 0; step < 200; step++ {
 			at := sim.Time(step) * 50 * sim.Microsecond
 			for _, s := range order {
-				rec, down := p.ShardDownAt(s, at)
+				rec, down := p.DownAt(Shard(s), at)
 				out[s] = append(out[s], probe{rec, down})
 			}
 		}
@@ -42,8 +42,8 @@ func TestShardSchedulesIndependent(t *testing.T) {
 	prof := Profile{Name: "t", ShardMeanUp: sim.Millisecond, ShardMeanDown: 100 * sim.Microsecond}
 	p := NewPlan(prof, 7)
 	horizon := 50 * sim.Millisecond
-	w0 := p.ShardWindowsThrough(0, horizon)
-	w1 := p.ShardWindowsThrough(1, horizon)
+	w0 := p.Through(Shard(0), horizon)
+	w1 := p.Through(Shard(1), horizon)
 	if len(w0) == 0 || len(w1) == 0 {
 		t.Fatalf("expected windows on both shards, got %d and %d", len(w0), len(w1))
 	}
@@ -76,12 +76,12 @@ func TestShardDrawsDoNotShiftPoolSchedule(t *testing.T) {
 		at := sim.Time(step) * 100 * sim.Microsecond
 		// Interleave shard draws on the mixed plan only.
 		for s := 0; s < 4; s++ {
-			mixed.ShardDownAt(s, at)
+			mixed.DownAt(Shard(s), at)
 		}
-		ra, da := poolOnly.PoolDownAt(at)
-		rb, db := mixed.PoolDownAt(at)
+		ra, da := poolOnly.DownAt(Pool(), at)
+		rb, db := mixed.DownAt(Pool(), at)
 		if ra != rb || da != db {
-			t.Fatalf("PoolDownAt(%v) shifted by shard draws: (%v,%v) vs (%v,%v)", at, ra, da, rb, db)
+			t.Fatalf("DownAt(Pool(), %v) shifted by shard draws: (%v,%v) vs (%v,%v)", at, ra, da, rb, db)
 		}
 	}
 }
@@ -91,7 +91,7 @@ func TestShardDrawsDoNotShiftPoolSchedule(t *testing.T) {
 func TestShardDownAtDisabled(t *testing.T) {
 	p := NewPlan(Profile{Name: "t", PoolMeanUp: sim.Millisecond}, 1)
 	for step := 0; step < 100; step++ {
-		if _, down := p.ShardDownAt(0, sim.Time(step)*sim.Millisecond); down {
+		if _, down := p.DownAt(Shard(0), sim.Time(step)*sim.Millisecond); down {
 			t.Fatal("shard down with ShardMeanUp == 0")
 		}
 	}
@@ -99,20 +99,20 @@ func TestShardDownAtDisabled(t *testing.T) {
 		t.Fatalf("ShardWindows = %d, want 0", p.Counters().ShardWindows)
 	}
 	var nilPlan *Plan
-	if _, down := nilPlan.ShardDownAt(0, sim.Second); down {
+	if _, down := nilPlan.DownAt(Shard(0), sim.Second); down {
 		t.Fatal("nil plan reported a shard down")
 	}
-	if ws := nilPlan.ShardWindowsThrough(0, sim.Second); ws != nil {
+	if ws := nilPlan.Through(Shard(0), sim.Second); ws != nil {
 		t.Fatalf("nil plan returned shard windows %v", ws)
 	}
 }
 
-// SetShardWindows pins exact half-open outage windows on one shard without
+// Pin pins exact half-open outage windows on one shard without
 // touching the others.
 func TestSetShardWindowsExact(t *testing.T) {
 	const d, u = 10 * sim.Microsecond, 20 * sim.Microsecond
 	p := NewPlan(Profile{Name: "t"}, 0)
-	p.SetShardWindows(1, Window{Down: d, Up: u})
+	p.Pin(Shard(1), Window{Down: d, Up: u})
 
 	cases := []struct {
 		at   sim.Time
@@ -126,12 +126,12 @@ func TestSetShardWindowsExact(t *testing.T) {
 		{u, false, 0}, // half-open: up at exactly Up
 	}
 	for _, tc := range cases {
-		rec, down := p.ShardDownAt(1, tc.at)
+		rec, down := p.DownAt(Shard(1), tc.at)
 		if down != tc.down || rec != tc.rec {
-			t.Fatalf("ShardDownAt(1, %v) = (%v, %v), want (%v, %v)", tc.at, rec, down, tc.rec, tc.down)
+			t.Fatalf("DownAt(Shard(1), %v) = (%v, %v), want (%v, %v)", tc.at, rec, down, tc.rec, tc.down)
 		}
 	}
-	if _, down := p.ShardDownAt(0, d); down {
+	if _, down := p.DownAt(Shard(0), d); down {
 		t.Fatal("window pinned on shard 1 leaked to shard 0")
 	}
 	if got := p.Counters().ShardWindows; got != 1 {
@@ -143,35 +143,35 @@ func TestSetShardWindowsExact(t *testing.T) {
 			t.Fatal("overlapping shard windows did not panic")
 		}
 	}()
-	p.SetShardWindows(2,
+	p.Pin(Shard(2),
 		Window{Down: 10 * sim.Microsecond, Up: 30 * sim.Microsecond},
 		Window{Down: 20 * sim.Microsecond, Up: 40 * sim.Microsecond},
 	)
 }
 
-// WindowsThrough exposes the generated schedule: every returned window's
-// half-open boundaries must agree with PoolDownAt, and a later horizon only
+// Through exposes the generated schedule: every returned window's
+// half-open boundaries must agree with DownAt, and a later horizon only
 // appends windows.
 func TestWindowsThroughMatchesProbing(t *testing.T) {
 	p := NewPlan(Profile{Name: "t", PoolMeanUp: sim.Millisecond, PoolMeanDown: 200 * sim.Microsecond}, 3)
 	const through = 20 * sim.Millisecond
-	ws := p.WindowsThrough(through)
+	ws := p.Through(Pool(), through)
 	if len(ws) == 0 {
 		t.Fatal("no windows generated through 20ms with 1ms mean uptime")
 	}
 	for i, w := range ws {
-		if rec, down := p.PoolDownAt(w.Down); !down || rec != w.Up {
-			t.Fatalf("window %d: PoolDownAt(Down=%v) = (%v, %v), want (%v, true)", i, w.Down, rec, down, w.Up)
+		if rec, down := p.DownAt(Pool(), w.Down); !down || rec != w.Up {
+			t.Fatalf("window %d: DownAt(Pool(), Down=%v) = (%v, %v), want (%v, true)", i, w.Down, rec, down, w.Up)
 		}
-		if rec, down := p.PoolDownAt(w.Up - 1); !down || rec != w.Up {
-			t.Fatalf("window %d: PoolDownAt(Up-1=%v) = (%v, %v), want (%v, true)", i, w.Up-1, rec, down, w.Up)
+		if rec, down := p.DownAt(Pool(), w.Up-1); !down || rec != w.Up {
+			t.Fatalf("window %d: DownAt(Pool(), Up-1=%v) = (%v, %v), want (%v, true)", i, w.Up-1, rec, down, w.Up)
 		}
-		if _, down := p.PoolDownAt(w.Down - 1); down {
+		if _, down := p.DownAt(Pool(), w.Down-1); down {
 			t.Fatalf("window %d: down just before Down=%v", i, w.Down)
 		}
 	}
 	// A later horizon can only append windows, never rewrite earlier ones.
-	more := p.WindowsThrough(2 * through)
+	more := p.Through(Pool(), 2*through)
 	if len(more) < len(ws) {
 		t.Fatalf("later horizon returned fewer windows: %d < %d", len(more), len(ws))
 	}

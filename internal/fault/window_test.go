@@ -10,7 +10,8 @@ import (
 func TestWindowPlanHalfOpenBoundaries(t *testing.T) {
 	const d1, u1 = 10 * sim.Microsecond, 20 * sim.Microsecond
 	const d2, u2 = 50 * sim.Microsecond, 60 * sim.Microsecond
-	p := NewWindowPlan(Window{Down: d1, Up: u1}, Window{Down: d2, Up: u2})
+	p := NewPlan(Profile{Name: "windows"}, 0)
+	p.Pin(Pool(), Window{Down: d1, Up: u1}, Window{Down: d2, Up: u2})
 
 	cases := []struct {
 		at   sim.Time
@@ -27,9 +28,9 @@ func TestWindowPlanHalfOpenBoundaries(t *testing.T) {
 		{u2 + sim.Second, false, 0}, // static schedule never extends
 	}
 	for _, tc := range cases {
-		rec, down := p.PoolDownAt(tc.at)
+		rec, down := p.DownAt(Pool(), tc.at)
 		if down != tc.down || rec != tc.rec {
-			t.Fatalf("PoolDownAt(%v) = (%v, %v), want (%v, %v)", tc.at, rec, down, tc.rec, tc.down)
+			t.Fatalf("DownAt(Pool(), %v) = (%v, %v), want (%v, %v)", tc.at, rec, down, tc.rec, tc.down)
 		}
 	}
 	if got := p.Counters().PoolWindows; got != 2 {
@@ -43,7 +44,7 @@ func TestWindowPlanRejectsUnsortedWindows(t *testing.T) {
 			t.Fatal("overlapping windows did not panic")
 		}
 	}()
-	NewWindowPlan(
+	NewPlan(Profile{Name: "windows"}, 0).Pin(Pool(),
 		Window{Down: 10 * sim.Microsecond, Up: 30 * sim.Microsecond},
 		Window{Down: 20 * sim.Microsecond, Up: 40 * sim.Microsecond},
 	)
