@@ -44,8 +44,10 @@ bench:
 	$(GO) run ./cmd/teleport-bench $(BENCH_FLAGS) -bench-out $(BENCH_OUT) \
 		$(if $(BENCH_BASELINE),-bench-baseline $(BENCH_BASELINE))
 
-# Short fuzz pass over the §6 resident-page-list codec; CI runs this on
+# Short fuzz passes over the §6 resident-page-list codec and the page
+# cache's deferred LRU order against an eager reference; CI runs this on
 # every push, longer runs are manual (go test -fuzz=Fuzz ./internal/netmodel).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzResidentRoundTrip -fuzztime=10s ./internal/netmodel
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalResident -fuzztime=10s ./internal/netmodel
+	$(GO) test -run=^$$ -fuzz=FuzzPageCacheLRU -fuzztime=10s ./internal/ddc

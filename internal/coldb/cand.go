@@ -1,6 +1,8 @@
 package coldb
 
 import (
+	"fmt"
+
 	"teleport/internal/ddc"
 	"teleport/internal/mem"
 )
@@ -11,6 +13,7 @@ import (
 type CandList struct {
 	Base mem.Addr
 	N    int
+	cap  int
 }
 
 // NewCandList allocates a candidate list with capacity cap.
@@ -18,7 +21,7 @@ func NewCandList(p *ddc.Process, cap int) *CandList {
 	if cap <= 0 {
 		cap = 1
 	}
-	return &CandList{Base: p.Space.AllocPages(int64(cap)*4, "cand")}
+	return &CandList{Base: p.Space.AllocPages(int64(cap)*4, "cand"), cap: cap}
 }
 
 // Get reads entry i.
@@ -26,8 +29,12 @@ func (cl *CandList) Get(env *ddc.Env, i int) int {
 	return int(env.ReadU32(cl.Base + mem.Addr(i*4)))
 }
 
-// Append writes the next entry.
+// Append writes the next entry. It panics when the list is full: writing
+// past the capacity would silently overwrite whatever was allocated next.
 func (cl *CandList) Append(env *ddc.Env, row int) {
+	if cl.N >= cl.cap {
+		panic(fmt.Sprintf("coldb: candidate list full (%d entries)", cl.cap))
+	}
 	env.WriteU32(cl.Base+mem.Addr(cl.N*4), uint32(row))
 	cl.N++
 }

@@ -267,20 +267,73 @@ func TestMergeJoinMatchesNestedLoop(t *testing.T) {
 		rt := db.CreateTable("r", nr, ColumnSpec{"k", I64})
 		rk := loadI64Col(db, rt, "k", right)
 		res := MergeJoin(env, lk, rk)
-
-		want := 0
-		for _, lv := range left {
-			for _, rv := range right {
-				if lv == rv {
-					want++
-				}
-			}
-		}
-		return res.Outer.N == want
+		return sameJoinPairs(env, res, nestedLoopPairs(left, right))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// nestedLoopPairs is the reference merge-join output: every (left row,
+// right row) pair with equal keys, in left-then-right row order.
+func nestedLoopPairs(left, right []int64) [][2]int {
+	var out [][2]int
+	for i, lv := range left {
+		for j, rv := range right {
+			if lv == rv {
+				out = append(out, [2]int{i, j})
+			}
+		}
+	}
+	return out
+}
+
+// sameJoinPairs reports whether res holds exactly the want pairs, in order.
+func sameJoinPairs(env *ddc.Env, res JoinResult, want [][2]int) bool {
+	if res.Outer.N != len(want) || res.Inner.N != len(want) {
+		return false
+	}
+	for k, w := range want {
+		if res.Outer.Get(env, k) != w[0] || res.Inner.Get(env, k) != w[1] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMergeJoinOneToManyFitsOutput is the overflow case: 1024 unique left
+// keys each matched twice on the right emit 2048 pairs, twice the left
+// side's row count, and every pair must come back intact.
+func TestMergeJoinOneToManyFitsOutput(t *testing.T) {
+	const nl = 1024
+	left := make([]int64, nl)
+	right := make([]int64, 2*nl)
+	for i := range left {
+		left[i] = int64(i)
+		right[2*i], right[2*i+1] = int64(i), int64(i)
+	}
+	db, env := localDB()
+	lt := db.CreateTable("l", nl, ColumnSpec{"k", I64})
+	lk := loadI64Col(db, lt, "k", left)
+	rt := db.CreateTable("r", 2*nl, ColumnSpec{"k", I64})
+	rk := loadI64Col(db, rt, "k", right)
+	res := MergeJoin(env, lk, rk)
+	if !sameJoinPairs(env, res, nestedLoopPairs(left, right)) {
+		t.Fatalf("merge join returned %d pairs, want %d intact", res.Outer.N, 2*nl)
+	}
+}
+
+func TestCandListAppendPanicsWhenFull(t *testing.T) {
+	_, env := localDB()
+	cl := NewCandList(env.P, 2)
+	cl.Append(env, 1)
+	cl.Append(env, 2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Append past capacity did not panic")
+		}
+	}()
+	cl.Append(env, 3)
 }
 
 func sortI64(v []int64) {

@@ -10,6 +10,7 @@ package coldb
 
 import (
 	"fmt"
+	"math"
 
 	"teleport/internal/ddc"
 	"teleport/internal/mem"
@@ -109,6 +110,93 @@ func (c *Column) SetF64(env *ddc.Env, i int, v float64) {
 	default:
 		env.WriteI64(c.Addr(i), int64(v))
 	}
+}
+
+// lane is the column as a ddc row-run lane.
+func (c *Column) lane() ddc.Lane { return ddc.Lane{Base: c.Base, Width: c.Type.Width()} }
+
+// i64 decodes an element's raw bits as I64At does.
+func (c *Column) i64(raw uint64) int64 {
+	if c.Type == I32 {
+		return int64(int32(raw))
+	}
+	return int64(raw)
+}
+
+// f64 decodes an element's raw bits as F64At does.
+func (c *Column) f64(raw uint64) float64 {
+	switch c.Type {
+	case F64:
+		return math.Float64frombits(raw)
+	case I32:
+		return float64(int32(raw))
+	default:
+		return float64(int64(raw))
+	}
+}
+
+// rawI64 encodes v as SetI64 stores it.
+func (c *Column) rawI64(v int64) uint64 {
+	if c.Type == I32 {
+		return uint64(uint32(int32(v)))
+	}
+	return uint64(v)
+}
+
+// rawF64 encodes v as SetF64 stores it.
+func (c *Column) rawF64(v float64) uint64 {
+	switch c.Type {
+	case F64:
+		return math.Float64bits(v)
+	case I32:
+		return uint64(uint32(int32(v)))
+	default:
+		return uint64(int64(v))
+	}
+}
+
+// mapRows is the dense loop over rows [0, out.N) that charges ops per row,
+// reads row i of every in column in order and writes f's result as row i
+// of out, all as raw element bits (see ddc.Env.RowRun).
+func mapRows(env *ddc.Env, ops float64, out *Column, f func(raw []uint64) uint64, in ...*Column) {
+	lanes := make([]ddc.Lane, len(in))
+	for k, c := range in {
+		lanes[k] = c.lane()
+	}
+	env.RowRun(out.N, ops, out.lane(), lanes, f)
+}
+
+// copyRaw is Project's row function: its input and output columns have one
+// type, and F64At/SetF64 and I64At/SetI64 both round-trip an element's bits.
+func copyRaw(raw []uint64) uint64 { return raw[0] }
+
+// MapI64 is the dense loop
+//
+//	for i := 0; i < out.N; i++ {
+//		env.Compute(ops)
+//		out.SetI64(env, i, f([]int64{in[0].I64At(env, i), ...}))
+//	}
+//
+// with the same model events, run as a row run.
+func MapI64(env *ddc.Env, ops float64, out *Column, f func(v []int64) int64, in ...*Column) {
+	v := make([]int64, len(in))
+	mapRows(env, ops, out, func(raw []uint64) uint64 {
+		for k, c := range in {
+			v[k] = c.i64(raw[k])
+		}
+		return out.rawI64(f(v))
+	}, in...)
+}
+
+// MapF64 is MapI64 over float values (F64At in, SetF64 out).
+func MapF64(env *ddc.Env, ops float64, out *Column, f func(v []float64) float64, in ...*Column) {
+	v := make([]float64, len(in))
+	mapRows(env, ops, out, func(raw []uint64) uint64 {
+		for k, c := range in {
+			v[k] = c.f64(raw[k])
+		}
+		return out.rawF64(f(v))
+	}, in...)
 }
 
 // LoadI64 bulk-writes vals into the column directly through the ground-truth

@@ -111,11 +111,14 @@ func GatherF64(env *ddc.Env, col *Column, rows *CandList) *Column {
 // MergeJoin joins two key columns that are both sorted ascending, returning
 // matched row pairs. One-to-many matches are emitted pairwise; both inputs
 // are consumed sequentially (the pattern that makes merge join tolerable in
-// a DDC, Figure 10).
+// a DDC, Figure 10). With unique left keys it emits at most one pair per
+// right row, so the output holds max(left.N, right.N) pairs; duplicate keys
+// on both sides can need more, and then Append panics.
 func MergeJoin(env *ddc.Env, left, right *Column) JoinResult {
+	n := maxInt(left.N, right.N)
 	res := JoinResult{
-		Outer: NewCandList(env.P, left.N),
-		Inner: NewCandList(env.P, left.N),
+		Outer: NewCandList(env.P, n),
+		Inner: NewCandList(env.P, n),
 	}
 	i, j := 0, 0
 	for i < left.N && j < right.N {

@@ -115,6 +115,10 @@ func Project(env *ddc.Env, col *Column, cand *CandList) *Column {
 	n := cand.Len(col.N)
 	out := NewColumn(env.P, col.Name+"#proj", col.Type, maxInt(n, 1))
 	out.N = n
+	if cand == nil {
+		mapRows(env, opsProject, out, copyRaw, col)
+		return out
+	}
 	i := 0
 	cand.ForEach(env, col.N, func(row int) {
 		env.Compute(opsProject)
@@ -172,6 +176,10 @@ func ExprMulAddColumns(env *ddc.Env, a, b *Column, scale float64, cand *CandList
 	n := cand.Len(a.N)
 	out := NewColumn(env.P, a.Name+"*"+b.Name, F64, maxInt(n, 1))
 	out.N = n
+	if cand == nil {
+		MapF64(env, opsExpr, out, func(v []float64) float64 { return v[0] * v[1] * scale }, a, b)
+		return out
+	}
 	i := 0
 	cand.ForEach(env, a.N, func(row int) {
 		env.Compute(opsExpr)
@@ -186,6 +194,10 @@ func ExprRevenue(env *ddc.Env, price, discount *Column, cand *CandList) *Column 
 	n := cand.Len(price.N)
 	out := NewColumn(env.P, "revenue", F64, maxInt(n, 1))
 	out.N = n
+	if cand == nil {
+		MapF64(env, opsExpr, out, func(v []float64) float64 { return v[0] * (1 - v[1]) }, price, discount)
+		return out
+	}
 	i := 0
 	cand.ForEach(env, price.N, func(row int) {
 		env.Compute(opsExpr)

@@ -60,7 +60,7 @@ func BenchmarkJournalCapture(b *testing.B) {
 // page's pre-image must not allocate a fresh page-sized buffer. The
 // assertion is on allocated bytes (runtime.MemStats.TotalAlloc is a
 // monotonic allocation counter, immune to GC timing): without the pool each
-// captured page costs ≥ mem.PageSize; with it, only the journal's map and
+// captured page costs ≥ mem.PageSize; with it, only the journal's index and
 // order bookkeeping remain.
 func TestJournalCapturePooled(t *testing.T) {
 	m := ddc.MustMachine(ddc.BaseDDC(256 * mem.PageSize))

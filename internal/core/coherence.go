@@ -26,6 +26,7 @@ type memPager struct {
 	opts Options
 
 	journal undoJournal
+	quorum  bool     // the pool has shards and a write quorum to lose
 	touches int      // page accesses served so far (the crash-point axis)
 	crashAt int      // touch ordinal at which an armed mid-crash fires (0 = unarmed)
 	dieAt   sim.Time // absolute deadline (0 = none)
@@ -60,8 +61,11 @@ func (mp *memPager) precheck(e *ddc.Env) {
 // the call through. The panic unwinds to Pushdown's recover, which rolls the
 // undo journal back before the failure is reported (rollback-before-report),
 // so the compute side sees a Recoverable ErrQuorumLost against pristine pool
-// state. Free on legacy (W ≤ 1) configs.
+// state. Free on legacy (W ≤ 1) configs, which the call decides once.
 func (mp *memPager) gateQuorum(e *ddc.Env, pg mem.PageID) {
+	if !mp.quorum {
+		return
+	}
 	rt := mp.ps.rt
 	if wake, lost := rt.pageQuorumWait(pg, e.T.Now()); lost {
 		rt.shardRecoverAt = wake
@@ -87,13 +91,12 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 		return
 	}
 
-	tt := ps.temp
-	present, writable := tt.peek(pg)
-	if present && (!write || writable) {
+	// Every protocol access materialises the page's entry, hit or fault.
+	ent := ps.temp.entry(pg)
+	if ent.present && (!write || ent.writable) {
 		// Permission hit. Line 14–15 still applies: the page itself may
 		// have been spilled to the storage pool.
 		p.EnsureInPool(e.T, pg, write)
-		ent := tt.entry(pg)
 		if write {
 			mp.journal.capture(p.Space, pg)
 			ent.dirty = true
@@ -105,7 +108,6 @@ func (mp *memPager) EnsurePage(e *ddc.Env, pg mem.PageID, write bool) {
 	// Temporary-context page fault (Figure 9 lines 11–17).
 	mp.st.MemoryFaults++
 	mark := e.T.Now()
-	ent := tt.entry(pg)
 
 	heldW, heldDirty, held := p.Cache.Lookup(pg)
 	if held {

@@ -627,7 +627,8 @@ func (r *Runtime) Pushdown(t *sim.Thread, fn Func, opts Options) (Stats, error) 
 	// point and the deadline at every page access.
 	mark = t.Now()
 	es := tr.Begin(t, trace.KindPushExec, 0, callID)
-	pager := &memPager{ps: ps, st: &st, opts: opts, dieAt: deadlineAt}
+	pager := &memPager{ps: ps, st: &st, opts: opts, dieAt: deadlineAt,
+		quorum: p.M.Cfg.Shards() > 1 && p.M.Cfg.EffWriteQuorum() > 1}
 	pager.journal.pool = &r.journalBufs
 	if frac, mid := p.M.Fault.CtxCrashMid(); mid {
 		// Map the seeded fraction onto a page-access ordinal: the context

@@ -15,7 +15,7 @@ import (
 type tempTable struct {
 	// overrides is page-indexed (nil = still the cloned default state);
 	// the address space is a dense bump allocator, so direct indexing keeps
-	// the per-access peek off the hash-map path. n counts materialised
+	// the per-access lookup off the hash-map path. n counts materialised
 	// entries.
 	overrides []*tempPTE
 	n         int

@@ -42,9 +42,13 @@ func (p *pagePool) put(b []byte) {
 // non-idempotent pushed operators (read-modify-write accumulations) would
 // double-apply their partial writes on re-execution.
 type undoJournal struct {
-	pre   map[mem.PageID][]byte
-	order []mem.PageID // capture order, for a deterministic restore walk
-	pool  *pagePool    // optional pre-image buffer recycler (Runtime-owned)
+	// captured is page-indexed: the address space is a dense bump
+	// allocator, so the capture check on every write access is a bounds
+	// check and a load, not a hash lookup.
+	captured []bool
+	order    []mem.PageID // capture order, for a deterministic restore walk
+	pre      [][]byte     // pre-images, parallel to order
+	pool     *pagePool    // optional pre-image buffer recycler (Runtime-owned)
 }
 
 // capture records page pg's pre-image if this call has not dirtied it yet.
@@ -52,13 +56,20 @@ type undoJournal struct {
 // called ahead of the backing Space write, so the snapshot still sees the
 // pristine bytes.
 func (j *undoJournal) capture(s *mem.Space, pg mem.PageID) {
-	if _, ok := j.pre[pg]; ok {
+	if pg < mem.PageID(len(j.captured)) && j.captured[pg] {
 		return
 	}
-	if j.pre == nil {
-		j.pre = make(map[mem.PageID][]byte)
+	if pg >= mem.PageID(len(j.captured)) {
+		size := int(pg) + 1
+		if d := 2 * len(j.captured); d > size {
+			size = d
+		}
+		grown := make([]bool, size)
+		copy(grown, j.captured)
+		j.captured = grown
 	}
-	j.pre[pg] = s.SnapshotPageInto(pg, j.pool.get())
+	j.captured[pg] = true
+	j.pre = append(j.pre, s.SnapshotPageInto(pg, j.pool.get()))
 	j.order = append(j.order, pg)
 }
 
@@ -66,30 +77,27 @@ func (j *undoJournal) capture(s *mem.Space, pg mem.PageID) {
 func (j *undoJournal) pages() int { return len(j.order) }
 
 // rollback restores every captured pre-image in reverse capture order (a
-// fixed order — never map iteration — so two same-seed runs roll back
-// identically), invoking onPage for each restored page, and empties the
-// journal, returning its buffers to the pool.
+// fixed order, so two same-seed runs roll back identically), invoking
+// onPage for each restored page, and empties the journal, returning its
+// buffers to the pool.
 func (j *undoJournal) rollback(s *mem.Space, onPage func(mem.PageID)) int {
 	n := len(j.order)
 	for i := n - 1; i >= 0; i-- {
 		pg := j.order[i]
-		s.RestorePage(pg, j.pre[pg])
-		j.pool.put(j.pre[pg])
+		s.RestorePage(pg, j.pre[i])
 		if onPage != nil {
 			onPage(pg)
 		}
 	}
-	j.pre = nil
-	j.order = nil
+	j.discard()
 	return n
 }
 
 // discard drops the journal without restoring anything (the call committed:
 // its writes stand, the pre-images are dead) and recycles the buffers.
 func (j *undoJournal) discard() {
-	for _, pg := range j.order {
-		j.pool.put(j.pre[pg])
+	for _, b := range j.pre {
+		j.pool.put(b)
 	}
-	j.pre = nil
-	j.order = nil
+	j.captured, j.order, j.pre = nil, nil, nil
 }

@@ -1,6 +1,11 @@
 package ddc
 
-import "teleport/internal/mem"
+import (
+	"cmp"
+	"slices"
+
+	"teleport/internal/mem"
+)
 
 // PageCache is an LRU set of resident pages with per-page permission and
 // dirty bits. It serves three roles, configured by capacity:
@@ -17,14 +22,25 @@ type PageCache struct {
 	// resident population.
 	nodes []*cacheNode
 	count int
-	head  *cacheNode // most recently used
-	tail  *cacheNode // least recently used
+	head  *cacheNode // most recently used, as of the last settle
+	tail  *cacheNode // least recently used, as of the last settle
+
+	// Deferred recency. Lookup, the per-access hit path, stamps the node
+	// instead of relinking it; pending holds the nodes stamped since the
+	// last settle (stamp > settled). Everything that reads or changes the
+	// list order first settles it: the pending nodes move to the front in
+	// ascending stamp order, which leaves exactly the order the same
+	// sequence of eager move-to-fronts would have.
+	clock   uint64
+	settled uint64
+	pending []*cacheNode
 }
 
 type cacheNode struct {
 	page       mem.PageID
 	writable   bool
 	dirty      bool
+	stamp      uint64 // clock value of the node's last Lookup
 	prev, next *cacheNode
 }
 
@@ -78,13 +94,32 @@ func (c *PageCache) Lookup(p mem.PageID) (writable, dirty, ok bool) {
 	if n == nil {
 		return false, false, false
 	}
-	c.moveToFront(n)
+	c.clock++
+	if n.stamp <= c.settled {
+		c.pending = append(c.pending, n)
+	}
+	n.stamp = c.clock
 	return n.writable, n.dirty, true
+}
+
+// settle applies the deferred Lookup bumps to the list order.
+func (c *PageCache) settle() {
+	if len(c.pending) == 0 {
+		return
+	}
+	slices.SortFunc(c.pending, func(a, b *cacheNode) int { return cmp.Compare(a.stamp, b.stamp) })
+	for _, n := range c.pending {
+		c.moveToFront(n)
+	}
+	clear(c.pending)
+	c.pending = c.pending[:0]
+	c.settled = c.clock
 }
 
 // Insert adds (or refreshes) a page with the given bits and returns any
 // evicted victims. Inserting an existing page overwrites its bits.
 func (c *PageCache) Insert(p mem.PageID, writable, dirty bool) []Evicted {
+	c.settle()
 	if n := c.node(p); n != nil {
 		n.writable, n.dirty = writable, dirty
 		c.moveToFront(n)
@@ -112,6 +147,7 @@ func (c *PageCache) Remove(p mem.PageID) (dirty, ok bool) {
 	if n == nil {
 		return false, false
 	}
+	c.settle()
 	c.unlink(n)
 	c.nodes[p] = nil
 	c.count--
@@ -149,6 +185,7 @@ func (c *PageCache) ClearDirty(p mem.PageID) {
 // Range calls f for every resident page from MRU to LRU until f returns
 // false. f must not mutate the cache.
 func (c *PageCache) Range(f func(p mem.PageID, writable, dirty bool) bool) {
+	c.settle()
 	for n := c.head; n != nil; n = n.next {
 		if !f(n.page, n.writable, n.dirty) {
 			return
@@ -161,6 +198,7 @@ func (c *PageCache) Range(f func(p mem.PageID, writable, dirty bool) bool) {
 // account for write-backs. Used to size a platform's cache to a freshly
 // loaded working set.
 func (c *PageCache) SetCapacity(pages int) []Evicted {
+	c.settle()
 	c.capacity = pages
 	var out []Evicted
 	for c.capacity > 0 && c.count > c.capacity {
@@ -179,6 +217,9 @@ func (c *PageCache) Clear() {
 	c.nodes = nil
 	c.count = 0
 	c.head, c.tail = nil, nil
+	clear(c.pending)
+	c.pending = c.pending[:0]
+	c.settled = c.clock
 }
 
 func (c *PageCache) pushFront(n *cacheNode) {

@@ -53,27 +53,29 @@ type Env struct {
 
 	pager Pager
 
-	// Single-page fast path: valid while nothing in the process mutated.
+	// Page TLB: the page the last access resolved through the pager, with
+	// its frame, valid while nothing in the process mutated (same epoch).
+	// It is part of the model, not only a host cache: an access it serves
+	// skips EnsurePage, so it decides which accesses count as cache hits
+	// and bump the LRU order.
 	fpValid bool
 	fpWrite bool
 	fpPage  mem.PageID
 	fpEpoch uint64
+	fpFrame []byte
 
-	// Hot-line memo (the per-thread one-entry software TLB): the DRAM line
-	// the last touch ended on, plus a zero-copy borrow of its page frame.
-	// A repeat access entirely inside this line, with the process epoch
-	// unchanged, is provably free under the models — the fp fast path skips
-	// the pager and chargeDRAM serves an in-stream line at zero cost with
-	// no state mutation — so the accessors decode straight from the frame.
+	// Hot-line memo: the DRAM line the last touch ended on. A repeat access
+	// entirely inside this line, with the process epoch unchanged, is
+	// provably free under the models — the page TLB skips the pager and
+	// chargeDRAM serves an in-stream line at zero cost with no state
+	// mutation — so the accessors decode straight from fpFrame.
 	// Validity: hot* is (re)anchored by every touch, hotValid implies
-	// fpValid with the same page and write grade, and the epoch check
-	// catches every pager/coherence event (eviction, rollback, upgrade),
-	// exactly as it does for the fp fast path.
+	// fpValid with the line on fpPage, and the epoch check catches every
+	// pager/coherence event (eviction, rollback, upgrade), exactly as it
+	// does for the page TLB.
 	hotValid  bool
 	hotWrite  bool
 	hotLine   uint64
-	hotPage   mem.PageID
-	hotFrame  []byte // fetched lazily on first hit; nil until then
 	lineB     uint64 // cached HW.DRAMLineBytes
 	lineShift uint8  // log2(lineB) when it is a power of two, else 255
 
@@ -85,7 +87,8 @@ type Env struct {
 	streams [dramStreams]uint64
 	nStream int
 	sClock  int
-	l2      []uint64
+	l2      []uint64 // nil when HW.CacheLines is 0
+	l2Mask  uint64
 
 	// Access counters (per env, i.e. per simulated thread).
 	reads, writes int64
@@ -115,12 +118,18 @@ func (p *Process) NewMemoryEnv(t *sim.Thread, pager Pager) *Env {
 }
 
 // initLine caches the DRAM line geometry (a shift when the configured line
-// size is a power of two, which it always is on the shipped configs).
+// size is a power of two, which it always is on the shipped configs) and
+// sizes the on-chip cache (hw.Config.Validate admits only powers of two).
 func (e *Env) initLine() {
-	e.lineB = uint64(e.P.M.Cfg.HW.DRAMLineBytes)
+	hwc := &e.P.M.Cfg.HW
+	e.lineB = uint64(hwc.DRAMLineBytes)
 	e.lineShift = 255
 	if e.lineB > 0 && e.lineB&(e.lineB-1) == 0 {
 		e.lineShift = uint8(bits.TrailingZeros64(e.lineB))
+	}
+	if hwc.CacheLines > 0 {
+		e.l2 = make([]uint64, hwc.CacheLines)
+		e.l2Mask = uint64(hwc.CacheLines - 1)
 	}
 }
 
@@ -146,8 +155,9 @@ func (e *Env) Compute(n float64) {
 }
 
 // touch runs the paging state machine and charges DRAM cost for an access
-// of n bytes at addr.
-func (e *Env) touch(addr mem.Addr, n int, write bool) {
+// of n bytes at addr. It returns the frame of the accessed page, or nil when
+// the access spans pages.
+func (e *Env) touch(addr mem.Addr, n int, write bool) []byte {
 	if write {
 		e.writes++
 	} else {
@@ -156,47 +166,53 @@ func (e *Env) touch(addr mem.Addr, n int, write bool) {
 	first, last := mem.PageSpan(addr, n)
 	if first == last && e.fpValid && first == e.fpPage && e.fpEpoch == e.P.Epoch &&
 		(!write || e.fpWrite) {
-		e.chargeDRAM(addr, n, first, first == last)
-		return
+		e.chargeDRAM(addr, n, true)
+		return e.fpFrame
 	}
 	for pg := first; pg <= last; pg++ {
 		e.pager.EnsurePage(e, pg, write)
 	}
 	e.fpValid, e.fpPage, e.fpWrite, e.fpEpoch = true, last, write, e.P.Epoch
-	e.chargeDRAM(addr, n, first, first == last)
+	e.fpFrame = e.P.Space.Frame(last)
+	e.chargeDRAM(addr, n, first == last)
+	if first != last {
+		return nil
+	}
+	return e.fpFrame
 }
 
-// hotR returns the frame bytes at a when a read of n bytes falls entirely
-// inside the hot line with the epoch unchanged (then the access is free and
-// mutation-free by construction; only the read counter advances).
-func (e *Env) hotR(a mem.Addr, n int) ([]byte, bool) {
-	if !e.hotValid || e.fpEpoch != e.P.Epoch {
-		return nil, false
-	}
-	if e.lineOf(uint64(a)) != e.hotLine || e.lineOf(uint64(a)+uint64(n)-1) != e.hotLine {
-		return nil, false
-	}
-	if e.hotFrame == nil {
-		e.hotFrame = e.P.Space.Frame(e.hotPage)
-	}
-	e.reads++
-	return e.hotFrame[a&(mem.PageSize-1):], true
+// hot reports whether an access of n bytes at a falls entirely inside the
+// hot line with the epoch unchanged (write accesses also need the line
+// anchored with write permission, mirroring the page TLB's fpWrite
+// condition). Such an access is free and mutation-free by construction.
+func (e *Env) hot(a mem.Addr, n int, write bool) bool {
+	return e.hotValid && (!write || e.hotWrite) && e.fpEpoch == e.P.Epoch &&
+		e.lineOf(uint64(a)) == e.hotLine && e.lineOf(uint64(a)+uint64(n)-1) == e.hotLine
 }
 
-// hotW is hotR for writes: additionally requires the page was anchored with
-// write permission (mirroring the fp fast path's fpWrite condition).
-func (e *Env) hotW(a mem.Addr, n int) ([]byte, bool) {
-	if !e.hotValid || !e.hotWrite || e.fpEpoch != e.P.Epoch {
-		return nil, false
+// load runs the models for a read of n bytes at a and returns the frame
+// bytes from a onwards, or nil when the access spans pages.
+func (e *Env) load(a mem.Addr, n int) []byte {
+	if e.hot(a, n, false) {
+		e.reads++
+		return e.fpFrame[a&(mem.PageSize-1):]
 	}
-	if e.lineOf(uint64(a)) != e.hotLine || e.lineOf(uint64(a)+uint64(n)-1) != e.hotLine {
-		return nil, false
+	if f := e.touch(a, n, false); f != nil {
+		return f[a&(mem.PageSize-1):]
 	}
-	if e.hotFrame == nil {
-		e.hotFrame = e.P.Space.Frame(e.hotPage)
+	return nil
+}
+
+// store is load for writes: the caller writes into the returned bytes.
+func (e *Env) store(a mem.Addr, n int) []byte {
+	if e.hot(a, n, true) {
+		e.writes++
+		return e.fpFrame[a&(mem.PageSize-1):]
 	}
-	e.writes++
-	return e.hotFrame[a&(mem.PageSize-1):], true
+	if f := e.touch(a, n, true); f != nil {
+		return f[a&(mem.PageSize-1):]
+	}
+	return nil
 }
 
 // InvalidateFastPath drops the env's cached page state; the coherence layer
@@ -220,60 +236,22 @@ const dramStreams = 8
 // zero and mutate nothing — the condition the hot-path accessors exploit.
 // Multi-page accesses don't anchor (the fp page and the line's page must
 // agree).
-func (e *Env) chargeDRAM(addr mem.Addr, n int, pg mem.PageID, single bool) {
-	cfg := &e.P.M.Cfg.HW
+func (e *Env) chargeDRAM(addr mem.Addr, n int, single bool) {
 	firstLine := e.lineOf(uint64(addr))
 	lastLine := e.lineOf(uint64(addr) + uint64(n) - 1)
-	if single {
-		e.hotValid = true
-		e.hotLine = lastLine
-		e.hotWrite = e.fpWrite
-		if pg != e.hotPage {
-			// Defer the frame borrow to the first hit: loops that never
-			// repeat a line pay nothing for the memo. Frame identities are
-			// stable, so a same-page re-anchor keeps the borrowed slice.
-			e.hotPage, e.hotFrame = pg, nil
+	e.hotValid = single
+	e.hotLine = lastLine
+	e.hotWrite = e.fpWrite
+	var ns float64
+	if firstLine == lastLine {
+		// The common single-line access, most often still inside its
+		// stream's line and so free.
+		if ns = e.lineNs(firstLine); ns == 0 {
+			return
 		}
 	} else {
-		e.hotValid = false
-	}
-	if e.l2 == nil && cfg.CacheLines > 0 {
-		e.l2 = make([]uint64, cfg.CacheLines)
-	}
-	mask := uint64(len(e.l2) - 1)
-	var ns float64
-lines:
-	for l := firstLine; l <= lastLine; l++ {
-		for i := 0; i < e.nStream; i++ {
-			switch e.streams[i] {
-			case l:
-				continue lines // still in this line: effectively L1
-			case l - 1:
-				ns += cfg.DRAMSeqLineNs
-				e.streams[i] = l
-				if e.l2 != nil {
-					e.l2[l&mask] = l
-				}
-				continue lines
-			}
-		}
-		// Not on a stream: an on-chip cache hit if the line was touched
-		// recently, a full DRAM access otherwise; either way a new stream
-		// starts (replace round-robin).
-		if e.l2 != nil && e.l2[l&mask] == l {
-			ns += cfg.CacheHitNs
-		} else {
-			ns += cfg.DRAMRandNs
-			if e.l2 != nil {
-				e.l2[l&mask] = l
-			}
-		}
-		if e.nStream < dramStreams {
-			e.streams[e.nStream] = l
-			e.nStream++
-		} else {
-			e.streams[e.sClock] = l
-			e.sClock = (e.sClock + 1) % dramStreams
+		for l := firstLine; l <= lastLine; l++ {
+			ns += e.lineNs(l)
 		}
 	}
 	if ns > 0 {
@@ -284,22 +262,57 @@ lines:
 	}
 }
 
+// lineNs runs the line model for one access to line l and returns its cost.
+func (e *Env) lineNs(l uint64) float64 {
+	cfg := &e.P.M.Cfg.HW
+	for i := 0; i < e.nStream; i++ {
+		switch e.streams[i] {
+		case l:
+			return 0 // still in this line: effectively L1
+		case l - 1:
+			e.streams[i] = l
+			if e.l2 != nil {
+				e.l2[l&e.l2Mask] = l
+			}
+			return cfg.DRAMSeqLineNs
+		}
+	}
+	// Not on a stream: an on-chip cache hit if the line was touched
+	// recently, a full DRAM access otherwise; either way a new stream
+	// starts (replace round-robin).
+	var ns float64
+	if e.l2 != nil && e.l2[l&e.l2Mask] == l {
+		ns = cfg.CacheHitNs
+	} else {
+		ns = cfg.DRAMRandNs
+		if e.l2 != nil {
+			e.l2[l&e.l2Mask] = l
+		}
+	}
+	if e.nStream < dramStreams {
+		e.streams[e.nStream] = l
+		e.nStream++
+	} else {
+		e.streams[e.sClock] = l
+		e.sClock = (e.sClock + 1) % dramStreams
+	}
+	return ns
+}
+
 // ReadU64 reads a uint64 through the paging model.
 func (e *Env) ReadU64(a mem.Addr) uint64 {
-	if b, ok := e.hotR(a, 8); ok {
+	if b := e.load(a, 8); b != nil {
 		return binary.LittleEndian.Uint64(b)
 	}
-	e.touch(a, 8, false)
 	return e.P.Space.ReadU64(a)
 }
 
 // WriteU64 writes a uint64 through the paging model.
 func (e *Env) WriteU64(a mem.Addr, v uint64) {
-	if b, ok := e.hotW(a, 8); ok {
+	if b := e.store(a, 8); b != nil {
 		binary.LittleEndian.PutUint64(b, v)
 		return
 	}
-	e.touch(a, 8, true)
 	e.P.Space.WriteU64(a, v)
 }
 
@@ -310,40 +323,25 @@ func (e *Env) ReadI64(a mem.Addr) int64 { return int64(e.ReadU64(a)) }
 func (e *Env) WriteI64(a mem.Addr, v int64) { e.WriteU64(a, uint64(v)) }
 
 // ReadF64 reads a float64.
-func (e *Env) ReadF64(a mem.Addr) float64 {
-	if b, ok := e.hotR(a, 8); ok {
-		return math.Float64frombits(binary.LittleEndian.Uint64(b))
-	}
-	e.touch(a, 8, false)
-	return e.P.Space.ReadF64(a)
-}
+func (e *Env) ReadF64(a mem.Addr) float64 { return math.Float64frombits(e.ReadU64(a)) }
 
 // WriteF64 writes a float64.
-func (e *Env) WriteF64(a mem.Addr, v float64) {
-	if b, ok := e.hotW(a, 8); ok {
-		binary.LittleEndian.PutUint64(b, math.Float64bits(v))
-		return
-	}
-	e.touch(a, 8, true)
-	e.P.Space.WriteF64(a, v)
-}
+func (e *Env) WriteF64(a mem.Addr, v float64) { e.WriteU64(a, math.Float64bits(v)) }
 
 // ReadU32 reads a uint32.
 func (e *Env) ReadU32(a mem.Addr) uint32 {
-	if b, ok := e.hotR(a, 4); ok {
+	if b := e.load(a, 4); b != nil {
 		return binary.LittleEndian.Uint32(b)
 	}
-	e.touch(a, 4, false)
 	return e.P.Space.ReadU32(a)
 }
 
 // WriteU32 writes a uint32.
 func (e *Env) WriteU32(a mem.Addr, v uint32) {
-	if b, ok := e.hotW(a, 4); ok {
+	if b := e.store(a, 4); b != nil {
 		binary.LittleEndian.PutUint32(b, v)
 		return
 	}
-	e.touch(a, 4, true)
 	e.P.Space.WriteU32(a, v)
 }
 
@@ -354,23 +352,10 @@ func (e *Env) ReadI32(a mem.Addr) int32 { return int32(e.ReadU32(a)) }
 func (e *Env) WriteI32(a mem.Addr, v int32) { e.WriteU32(a, uint32(v)) }
 
 // ReadU8 reads one byte.
-func (e *Env) ReadU8(a mem.Addr) byte {
-	if b, ok := e.hotR(a, 1); ok {
-		return b[0]
-	}
-	e.touch(a, 1, false)
-	return e.P.Space.ReadU8(a)
-}
+func (e *Env) ReadU8(a mem.Addr) byte { return e.load(a, 1)[0] }
 
 // WriteU8 writes one byte.
-func (e *Env) WriteU8(a mem.Addr, v byte) {
-	if b, ok := e.hotW(a, 1); ok {
-		b[0] = v
-		return
-	}
-	e.touch(a, 1, true)
-	e.P.Space.WriteU8(a, v)
-}
+func (e *Env) WriteU8(a mem.Addr, v byte) { e.store(a, 1)[0] = v }
 
 // ReadU64s reads len(dst) consecutive uint64s starting at a. It is
 // element-for-element equivalent to that many ReadU64 calls — the paging
@@ -387,12 +372,9 @@ func (e *Env) ReadU64s(a mem.Addr, dst []uint64) {
 		}
 		// Nothing below advances virtual time, so no yield can run and the
 		// epoch cannot change mid-run: one check covers the whole line.
-		if e.hotFrame == nil {
-			e.hotFrame = e.P.Space.Frame(e.hotPage)
-		}
 		end := (e.hotLine + 1) * e.lineB
 		for i < len(dst) && uint64(a)+8 <= end {
-			dst[i] = binary.LittleEndian.Uint64(e.hotFrame[a&(mem.PageSize-1):])
+			dst[i] = binary.LittleEndian.Uint64(e.fpFrame[a&(mem.PageSize-1):])
 			e.reads++
 			i++
 			a += 8
@@ -410,12 +392,9 @@ func (e *Env) WriteU64s(a mem.Addr, src []uint64) {
 		if !e.hotValid || !e.hotWrite || e.fpEpoch != e.P.Epoch {
 			continue
 		}
-		if e.hotFrame == nil {
-			e.hotFrame = e.P.Space.Frame(e.hotPage)
-		}
 		end := (e.hotLine + 1) * e.lineB
 		for i < len(src) && uint64(a)+8 <= end {
-			binary.LittleEndian.PutUint64(e.hotFrame[a&(mem.PageSize-1):], src[i])
+			binary.LittleEndian.PutUint64(e.fpFrame[a&(mem.PageSize-1):], src[i])
 			e.writes++
 			i++
 			a += 8
@@ -433,12 +412,9 @@ func (e *Env) ReadU32s(a mem.Addr, dst []uint32) {
 		if !e.hotValid || e.fpEpoch != e.P.Epoch {
 			continue
 		}
-		if e.hotFrame == nil {
-			e.hotFrame = e.P.Space.Frame(e.hotPage)
-		}
 		end := (e.hotLine + 1) * e.lineB
 		for i < len(dst) && uint64(a)+4 <= end {
-			dst[i] = binary.LittleEndian.Uint32(e.hotFrame[a&(mem.PageSize-1):])
+			dst[i] = binary.LittleEndian.Uint32(e.fpFrame[a&(mem.PageSize-1):])
 			e.reads++
 			i++
 			a += 4
@@ -456,12 +432,9 @@ func (e *Env) WriteU32s(a mem.Addr, src []uint32) {
 		if !e.hotValid || !e.hotWrite || e.fpEpoch != e.P.Epoch {
 			continue
 		}
-		if e.hotFrame == nil {
-			e.hotFrame = e.P.Space.Frame(e.hotPage)
-		}
 		end := (e.hotLine + 1) * e.lineB
 		for i < len(src) && uint64(a)+4 <= end {
-			binary.LittleEndian.PutUint32(e.hotFrame[a&(mem.PageSize-1):], src[i])
+			binary.LittleEndian.PutUint32(e.fpFrame[a&(mem.PageSize-1):], src[i])
 			e.writes++
 			i++
 			a += 4

@@ -128,6 +128,9 @@ func (c *Config) Validate() error {
 		return errConfig("bandwidth must be positive")
 	case c.DRAMLineBytes <= 0:
 		return errConfig("DRAMLineBytes must be positive")
+	case c.CacheLines < 0 || c.CacheLines&(c.CacheLines-1) != 0:
+		// The on-chip cache is direct-mapped by a line-index mask.
+		return errConfig("CacheLines must be zero or a power of two")
 	}
 	return nil
 }

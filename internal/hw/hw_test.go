@@ -53,12 +53,25 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.NetBandwidthGBs = 0 },
 		func(c *Config) { c.SSDSeqGBs = 0 },
 		func(c *Config) { c.DRAMLineBytes = 0 },
+		func(c *Config) { c.CacheLines = -1 },
+		func(c *Config) { c.CacheLines = 100 },
+		func(c *Config) { c.CacheLines = 8191 },
 	}
 	for i, mutate := range cases {
 		c := base
 		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted a broken config", i)
+		}
+	}
+}
+
+func TestValidateAcceptsCacheLinePowers(t *testing.T) {
+	for _, lines := range []int{0, 1, 2, 1024, 8192} {
+		c := Testbed()
+		c.CacheLines = lines
+		if err := c.Validate(); err != nil {
+			t.Errorf("CacheLines=%d: %v", lines, err)
 		}
 	}
 }

@@ -171,10 +171,7 @@ func Q9(ex *profile.Exec, d *Data, color int64) []coldb.GroupRow {
 		idx := coldb.BuildHashIndex(env, ps.Col("ps_key"), nil)
 		composite := coldb.NewColumn(env.P, "l_pskey", coldb.I64, maxInt(lPartK.N, 1))
 		composite.N = lPartK.N
-		for i := 0; i < lPartK.N; i++ {
-			env.Compute(2)
-			composite.SetI64(env, i, CompositeKey(lPartK.I64At(env, i), lSupp.I64At(env, i)))
-		}
+		coldb.MapI64(env, 2, composite, func(v []int64) int64 { return CompositeKey(v[0], v[1]) }, lPartK, lSupp)
 		match := coldb.HashJoinProbe(env, idx, composite, nil)
 		supplyCost = coldb.GatherF64(env, ps.Col("ps_supplycost"), match.Inner)
 	})
@@ -200,10 +197,7 @@ func Q9(ex *profile.Exec, d *Data, color int64) []coldb.GroupRow {
 		dates := coldb.GatherI64(env, orders.Col("o_orderdate"), mj.Inner)
 		year = coldb.NewColumn(env.P, "o_year", coldb.I32, maxInt(dates.N, 1))
 		year.N = dates.N
-		for i := 0; i < dates.N; i++ {
-			env.Compute(2)
-			year.SetI64(env, i, dates.I64At(env, i)/YearDays)
-		}
+		coldb.MapI64(env, 2, year, func(v []int64) int64 { return v[0] / YearDays }, dates)
 	})
 
 	// Expression: amount = price*(1-disc) − supplycost*qty over the full
@@ -214,10 +208,7 @@ func Q9(ex *profile.Exec, d *Data, color int64) []coldb.GroupRow {
 		cost := coldb.ExprMulAddColumns(env, supplyCost, lQty, 1, nil)
 		amount = coldb.NewColumn(env.P, "amount", coldb.F64, maxInt(revenue.N, 1))
 		amount.N = revenue.N
-		for i := 0; i < revenue.N; i++ {
-			env.Compute(2)
-			amount.SetF64(env, i, revenue.F64At(env, i)-cost.F64At(env, i))
-		}
+		coldb.MapF64(env, 2, amount, func(v []float64) float64 { return v[0] - v[1] }, revenue, cost)
 	})
 
 	// Group: (nation, year) hash aggregation over the selected rows.
@@ -225,10 +216,7 @@ func Q9(ex *profile.Exec, d *Data, color int64) []coldb.GroupRow {
 	ex.Run(OpGroup, func(env *ddc.Env) {
 		keys := coldb.NewColumn(env.P, "nation_year", coldb.I64, maxInt(nation.N, 1))
 		keys.N = nation.N
-		for i := 0; i < nation.N; i++ {
-			env.Compute(2)
-			keys.SetI64(env, i, nation.I64At(env, i)*100+year.I64At(env, i))
-		}
+		coldb.MapI64(env, 2, keys, func(v []int64) int64 { return v[0]*100 + v[1] }, nation, year)
 		g = coldb.GroupBySum(env, keys, amount, keep, Nations*8)
 	})
 
